@@ -56,15 +56,15 @@ main(int argc, char **argv)
             nvm_bytes, *choice.profile, fx.model_timing);
         auto region =
             std::make_shared<pmem::PmemRegion>(nvm, /*format=*/true);
-        std::vector<std::shared_ptr<sim::SsdDevice>> ssds;
+        std::vector<core::ShardBackends> shards = {{region, {}}};
         for (int i = 0; i < fx.num_ssds; i++) {
-            ssds.push_back(std::make_shared<sim::SsdDevice>(
+            shards[0].devices.push_back(std::make_shared<sim::SsdDevice>(
                 fx.ssd_bytes, fx.ssd_profile, fx.model_timing));
         }
-        auto db = core::PrismDb::open(opts, region, ssds);
+        auto db = core::ShardRouter::open(opts, std::move(shards));
 
         struct Shim : ycsb::KvStore {
-            core::PrismDb *db;
+            core::ShardRouter *db;
             std::string name() const override { return "Prism"; }
             Status put(uint64_t k, std::string_view v) override {
                 return db->put(k, v);

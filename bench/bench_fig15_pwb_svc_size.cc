@@ -22,7 +22,7 @@ main(int argc, char **argv)
     const uint64_t mb = 1 << 20;
 
     std::printf("== Figure 15a: throughput vs PWB size (per thread) ==\n");
-    for (const uint64_t pwb_mb : {1ull, 2ull, 4ull, 8ull, 16ull}) {
+    for (const unsigned long long pwb_mb : {1ull, 2ull, 4ull, 8ull, 16ull}) {
         core::PrismOptions opts;
         opts.pwb_size_bytes = pwb_mb * mb;
         FixtureOptions fx = fixtureFor(s);
@@ -46,7 +46,7 @@ main(int argc, char **argv)
 
     std::printf("== Figure 15b: throughput vs SVC size ==\n");
     const uint64_t dataset = s.records * s.value_bytes;
-    for (const uint64_t pct : {4ull, 8ull, 12ull, 16ull, 20ull}) {
+    for (const unsigned long long pct : {4ull, 8ull, 12ull, 16ull, 20ull}) {
         core::PrismOptions opts;
         opts.svc_capacity_bytes =
             std::max<uint64_t>(dataset * pct / 100, 1 * mb);

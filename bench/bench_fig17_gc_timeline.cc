@@ -88,6 +88,7 @@ main(int argc, char **argv)
     fx.ssd_bytes = std::max<uint64_t>(
         s.records * s.value_bytes * 16 / 10 / fx.num_ssds, 64 << 20);
     ycsb::PrismStore store(fx, core::PrismOptions{});
+    const auto opened = store.router().stats();
     loadDataset(store, s);
 
     WorkloadSpec run = WorkloadSpec::forMix(Mix::kA, s.records, s.ops);
@@ -118,9 +119,8 @@ main(int argc, char **argv)
         }
     }
 
-    uint64_t gc_counter = 0;
-    for (size_t i = 0; i < store.db().valueStorageCount(); i++)
-        gc_counter += store.db().valueStorage(i).gcPasses();
+    const uint64_t gc_counter =
+        store.router().stats().counterDelta(opened, "prism.vs.gc_passes");
     std::printf("# total: %.1f Kops/s over %.1fs, %llu GC passes "
                 "(%llu gc spans, %llu reclaim spans traced)\n",
                 r.throughput() / 1e3,

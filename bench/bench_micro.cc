@@ -42,8 +42,10 @@ BM_PacTreeInsert(benchmark::State &state)
     PmemFixture fx;
     auto tree = index::PacTree::create(*fx.region, *fx.alloc);
     uint64_t i = 0;
-    for (auto _ : state)
-        tree->insertOrGet(hash64(i++), i);
+    for (auto _ : state) {
+        tree->insertOrGet(hash64(i), i);
+        i++;
+    }
     state.SetItemsProcessed(static_cast<int64_t>(i));
 }
 BENCHMARK(BM_PacTreeInsert);

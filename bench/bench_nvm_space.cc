@@ -28,7 +28,7 @@ main(int argc, char **argv)
         opts.hsit_capacity = keys * 2;
         ycsb::PrismStore store(fx, opts);
         loadDataset(store, s);
-        const uint64_t bytes = store.db().nvmIndexBytes();
+        const uint64_t bytes = store.router().nvmIndexBytes();
         std::printf("%8llu keys: %8.1f MB NVM (%5.1f B/key)\n",
                     static_cast<unsigned long long>(keys),
                     static_cast<double>(bytes) / 1e6,

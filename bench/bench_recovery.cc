@@ -28,7 +28,7 @@ main(int argc, char **argv)
         loadDataset(store, s);
         const uint64_t ns = store.crashAndRecover(opts);
         std::printf("Prism : %8.1f ms (recovered %zu keys)\n",
-                    static_cast<double>(ns) / 1e6, store.db().size());
+                    static_cast<double>(ns) / 1e6, store.router().size());
     }
     {
         FixtureOptions fx = fixtureFor(s);

@@ -321,7 +321,7 @@ benchBackendName()
  *
  * Every bench accepts `--shards=N` (or `PRISM_SHARDS=N` /
  * `PRISM_BENCH_SHARDS=N`) to run the Prism store as an N-shard
- * ShardRouter (N a power of two; 1 = today's single-PrismDb store).
+ * ShardRouter (N a power of two; 1 = the default one-shard store).
  * Like `--backend`, only Prism is switchable. Sharded runs tag every
  * JSON row with a `"shards"` field so their rows never collide with
  * the committed unsharded baselines in scripts/bench_compare.py.
@@ -515,7 +515,7 @@ makeStore(const std::string &which, const FixtureOptions &fx)
     if (which == "Prism") {
         core::PrismOptions po;
         po.io_backend = benchBackend();  // "" = sim/$PRISM_IO_BACKEND
-        po.shards = benchShards();       // 1 = single-PrismDb store
+        po.shards = benchShards();       // 1 = one-shard store
         po.obs_port = benchObsPort();    // -1 = $PRISM_OBS_PORT, then off
         return std::make_unique<ycsb::PrismStore>(fx, po);
     }

@@ -26,7 +26,7 @@
  *   prism_torture --shards=4 --seed=7            # N-shard ShardRouter
  *
  * `--shards=N` (power of two) runs every iteration against an N-shard
- * core::ShardRouter instead of a single PrismDb: each shard gets its
+ * core::ShardRouter instead of a one-shard one: each shard gets its
  * own tracked NVM region and SSD slice, the crash image spans all
  * shards, and recovery replays the shards sequentially — so a given
  * (--seed, --shards) pair replays deterministically, byte-identical
@@ -51,9 +51,9 @@
 #include "common/rand.h"
 #include "common/stats.h"
 #include "common/trace.h"
-#include "core/prism_db.h"
 #include "core/shard_router.h"
 #include "sim/device_profile.h"
+#include "sim/ssd_device.h"
 
 using namespace prism;
 
@@ -164,10 +164,10 @@ tortureOptions()
 }
 
 /**
- * Torture rig: a ShardRouter over --shards shards (1 by default — the
- * single-PrismDb fast path), each shard with its own NVM region and
- * @p ssds_per_shard devices. The flat `ssds` list is shard-major so
- * snapshot/dropout code can ignore sharding.
+ * Torture rig: a ShardRouter over --shards shards (1 by default), each
+ * shard with its own NVM region and @p ssds_per_shard devices. The
+ * flat `ssds` list is shard-major so snapshot/dropout code can ignore
+ * sharding.
  */
 struct Rig {
     core::PrismOptions opts;
@@ -197,7 +197,7 @@ struct Rig {
                 ssds.push_back(shard_ssds.back());
             }
             backends.push_back(
-                {regions.back(), core::PrismDb::asBackends(shard_ssds)});
+                {regions.back(), {shard_ssds.begin(), shard_ssds.end()}});
         }
         db = core::ShardRouter::open(opts, std::move(backends));
     }
@@ -327,8 +327,7 @@ runCrashIteration(Xorshift &rng)
                                  static_cast<size_t>(i)]);
             ssds2.push_back(std::move(d));
         }
-        backends2.push_back(
-            {region2, core::PrismDb::asBackends(ssds2)});
+        backends2.push_back({region2, {ssds2.begin(), ssds2.end()}});
     }
     auto recovered = core::ShardRouter::recover(opts, backends2);
 

@@ -12,8 +12,9 @@
  */
 #include <cstdio>
 
-#include "core/prism_db.h"
+#include "core/shard_router.h"
 #include "sim/device_profile.h"
+#include "sim/ssd_device.h"
 
 using namespace prism;
 
@@ -27,15 +28,12 @@ main()
         kNvmBytes, sim::kOptaneDcpmmProfile, /*timing=*/false);
     auto region = std::make_shared<pmem::PmemRegion>(nvm, true);
     region->enableTracking();  // adversarial persistence model on
-    std::vector<std::shared_ptr<sim::SsdDevice>> ssds = {
-        std::make_shared<sim::SsdDevice>(kSsdBytes,
-                                         sim::kSamsung980ProProfile,
-                                         false),
-    };
+    auto ssd = std::make_shared<sim::SsdDevice>(
+        kSsdBytes, sim::kSamsung980ProProfile, false);
 
     core::PrismOptions opts;
     opts.pwb_size_bytes = 1 << 20;  // small PWB: values reach the SSD
-    auto db = core::PrismDb::open(opts, region, ssds);
+    auto db = core::ShardRouter::open(opts, {{region, {ssd}}});
 
     constexpr uint64_t kAcked = 20000;
     for (uint64_t k = 0; k < kAcked; k++) {
@@ -53,7 +51,7 @@ main()
     std::vector<uint8_t> nvm_image;
     region->snapshotDurableTo(nvm_image);
     std::vector<uint8_t> ssd_image;
-    ssds[0]->snapshotTo(ssd_image);
+    ssd->snapshotTo(ssd_image);
     std::printf("power failure injected (captured durable image)\n");
 
     // Reboot: fresh process state, devices restored from the image.
@@ -65,8 +63,7 @@ main()
     auto ssd2 = std::make_shared<sim::SsdDevice>(
         kSsdBytes, sim::kSamsung980ProProfile, false);
     ssd2->loadFrom(ssd_image);
-    std::vector<std::shared_ptr<sim::SsdDevice>> ssds2{ssd2};
-    auto recovered = core::PrismDb::recover(opts, region2, ssds2);
+    auto recovered = core::ShardRouter::recover(opts, {{region2, {ssd2}}});
 
     std::printf("recovery completed in %.2f ms\n",
                 static_cast<double>(recovered->recoveryTimeNs()) / 1e6);

@@ -54,7 +54,7 @@
 #include "common/stats.h"
 #include "common/telemetry.h"
 #include "common/trace.h"
-#include "core/prism_db.h"
+#include "core/shard_router.h"
 #include "net/resp_server.h"
 #include "sim/device_profile.h"
 #include "ycsb/stores.h"
@@ -73,9 +73,17 @@ int g_obs_port = 0;
 void
 printStats(ycsb::PrismStore &store)
 {
-    auto &db = store.db();
-    const auto &st = db.opStats();
-    const auto &svc = db.svcStats();
+    auto &db = store.router();
+    // The shell's store is the only one in the process, so the
+    // process-wide registry's totals are this store's.
+    db.publishOccupancy();
+    const auto snap = db.stats();
+    const auto n = [&](const char *name) {
+        return static_cast<unsigned long long>(snap.counter(name));
+    };
+    const auto mb = [&](const char *gauge) {
+        return static_cast<double>(snap.gauge(gauge)) / 1e6;
+    };
     std::printf("keys            %zu\n", db.size());
     if (db.shardCount() > 1) {
         std::printf("shards         ");
@@ -84,49 +92,32 @@ printStats(ycsb::PrismStore &store)
         std::printf("\n");
     }
     std::printf("puts/gets/dels  %llu / %llu / %llu   scans %llu\n",
-                static_cast<unsigned long long>(st.puts.load()),
-                static_cast<unsigned long long>(st.gets.load()),
-                static_cast<unsigned long long>(st.dels.load()),
-                static_cast<unsigned long long>(st.scans.load()));
+                n("prism.puts"), n("prism.gets"), n("prism.dels"),
+                n("prism.scans"));
     std::printf("read sources    svc=%llu pwb=%llu ssd=%llu\n",
-                static_cast<unsigned long long>(st.svc_hits.load()),
-                static_cast<unsigned long long>(st.pwb_hits.load()),
-                static_cast<unsigned long long>(st.vs_reads.load()));
-    // Sum SVC occupancy across shards (db.svc() alone is shard 0's).
-    uint64_t svc_used = 0, svc_cap = 0;
-    for (size_t s = 0; s < db.shardCount(); s++) {
-        svc_used += db.shard(s).svc().usedBytes();
-        svc_cap += db.shard(s).svc().capacityBytes();
-    }
+                n("prism.get.svc_hits"), n("prism.get.pwb_hits"),
+                n("prism.get.vs_reads"));
     std::printf("svc             %.1f / %.1f MB used, %llu evictions, "
                 "%llu scan reorgs\n",
-                static_cast<double>(svc_used) / 1e6,
-                static_cast<double>(svc_cap) / 1e6,
-                static_cast<unsigned long long>(svc.evictions.load()),
-                static_cast<unsigned long long>(svc.scan_reorgs.load()));
+                mb("prism.svc.used_bytes"), mb("prism.svc.capacity_bytes"),
+                n("prism.svc.evictions"), n("prism.svc.scan_reorgs"));
     std::printf("reclaim         %llu passes, %llu values moved, %llu "
                 "stale skipped\n",
-                static_cast<unsigned long long>(
-                    st.reclaim_passes.load()),
-                static_cast<unsigned long long>(
-                    st.reclaimed_values.load()),
-                static_cast<unsigned long long>(
-                    st.reclaim_skipped_stale.load()));
-    uint64_t gc = 0;
+                n("prism.pwb.reclaim_passes"),
+                n("prism.pwb.reclaimed_values"),
+                n("prism.pwb.reclaim_skipped_stale"));
     size_t free_chunks = 0, total_chunks = 0;
     for (size_t i = 0; i < db.valueStorageCount(); i++) {
-        gc += db.valueStorage(i).gcPasses();
         free_chunks += db.valueStorage(i).freeChunks();
         total_chunks += db.valueStorage(i).totalChunks();
     }
     std::printf("value storage   %zu/%zu chunks free, %llu GC passes\n",
-                free_chunks, total_chunks,
-                static_cast<unsigned long long>(gc));
+                free_chunks, total_chunks, n("prism.vs.gc_passes"));
     std::printf("nvm index       %.1f MB (key index + HSIT)\n",
                 static_cast<double>(db.nvmIndexBytes()) / 1e6);
     std::printf("ssd written     %.1f MB for %.1f MB of user writes\n",
                 static_cast<double>(db.ssdBytesWritten()) / 1e6,
-                static_cast<double>(st.user_bytes_written.load()) / 1e6);
+                static_cast<double>(n("prism.user_bytes_written")) / 1e6);
 }
 
 void
@@ -472,8 +463,7 @@ main(int argc, char **argv)
         return r.healthy ? 0 : 1;
     }
     if (subcommand == "metrics") {
-        for (size_t s = 0; s < store.router().shardCount(); s++)
-            store.router().shard(s).publishOccupancy();
+        store.router().publishOccupancy();
         trace::TraceRegistry::global().publishStats();
         const auto snap = stats::StatsRegistry::global().snapshot();
         if (prom)
@@ -587,14 +577,14 @@ main(int argc, char **argv)
             store.flushAll();
             std::printf("OK\n");
         } else if (cmd == "gc") {
-            store.db().forceGc();
+            store.router().forceGc();
             std::printf("OK\n");
         } else if (cmd == "stats") {
             printStats(store);
         } else if (cmd == "metrics") {
-            std::printf("%s", store.db().stats().toString().c_str());
+            std::printf("%s", store.router().stats().toString().c_str());
         } else if (cmd == "json") {
-            std::printf("%s\n", store.db().stats().toJson().c_str());
+            std::printf("%s\n", store.router().stats().toJson().c_str());
         } else if (cmd == "trace") {
             std::string sub;
             in >> sub;
@@ -715,7 +705,7 @@ main(int argc, char **argv)
                             "<file>|status|clear\n");
             }
         } else if (cmd == "slowops") {
-            printSlowOps(store.db().slowOps());
+            printSlowOps(store.router().slowOps());
         } else if (cmd == "tracegen") {
             std::string mix, file;
             uint64_t n;
@@ -724,7 +714,7 @@ main(int argc, char **argv)
                 continue;
             }
             ycsb::WorkloadSpec spec = ycsb::WorkloadSpec::forMix(
-                mixByName(mix), std::max<uint64_t>(store.db().size(), 1),
+                mixByName(mix), std::max<uint64_t>(store.router().size(), 1),
                 n);
             spec.value_bytes = 256;
             const uint64_t written = ycsb::generateTrace(spec, 1, file);

@@ -7,8 +7,9 @@
  */
 #include <cstdio>
 
-#include "core/prism_db.h"
+#include "core/shard_router.h"
 #include "sim/device_profile.h"
+#include "sim/ssd_device.h"
 
 using namespace prism;
 
@@ -20,14 +21,15 @@ main()
     //    namespaces; here they are simulated per the Figure-1 profiles.)
     auto nvm = std::make_shared<sim::NvmDevice>(256ull << 20);
     auto region = std::make_shared<pmem::PmemRegion>(nvm, /*format=*/true);
-    std::vector<std::shared_ptr<sim::SsdDevice>> ssds = {
-        std::make_shared<sim::SsdDevice>(1ull << 30),
-        std::make_shared<sim::SsdDevice>(1ull << 30),
+    std::vector<core::ShardBackends> shards = {
+        {region,
+         {std::make_shared<sim::SsdDevice>(1ull << 30),
+          std::make_shared<sim::SsdDevice>(1ull << 30)}},
     };
 
-    // 2. Open a fresh store.
+    // 2. Open a fresh store: one shard (one NVM region and its SSDs).
     core::PrismOptions opts;
-    auto db = core::PrismDb::open(opts, region, ssds);
+    auto db = core::ShardRouter::open(opts, shards);
 
     // 3. Writes are durable on return: value lands in this thread's
     //    Persistent Write Buffer on NVM, then the HSIT forward pointer
@@ -62,7 +64,7 @@ main()
 
     // 7. Restart: drop the process state, recover from NVM + SSD.
     db.reset();
-    db = core::PrismDb::recover(opts, region, ssds);
+    db = core::ShardRouter::recover(opts, shards);
     std::printf("recovered %zu keys in %.2f ms\n", db->size(),
                 static_cast<double>(db->recoveryTimeNs()) / 1e6);
     if (db->get(7, &value).isOk())

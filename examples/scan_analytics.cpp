@@ -12,8 +12,9 @@
 #include <cstdio>
 
 #include "common/rand.h"
-#include "core/prism_db.h"
+#include "core/shard_router.h"
 #include "sim/device_profile.h"
+#include "sim/ssd_device.h"
 
 using namespace prism;
 
@@ -32,13 +33,14 @@ main()
 {
     auto nvm = std::make_shared<sim::NvmDevice>(512ull << 20);
     auto region = std::make_shared<pmem::PmemRegion>(nvm, true);
-    std::vector<std::shared_ptr<sim::SsdDevice>> ssds = {
-        std::make_shared<sim::SsdDevice>(2ull << 30),
-        std::make_shared<sim::SsdDevice>(2ull << 30),
-    };
     core::PrismOptions opts;
     opts.svc_capacity_bytes = 2ull << 20;  // small cache: evictions happen
-    auto db = core::PrismDb::open(opts, region, ssds);
+    auto db = core::ShardRouter::open(
+        opts, {{region,
+                {std::make_shared<sim::SsdDevice>(2ull << 30),
+                 std::make_shared<sim::SsdDevice>(2ull << 30)}}});
+    // Counters live in the process-wide stats registry: diff snapshots.
+    const auto opened = db->stats();
 
     // Ingest: 64 series x 2000 events each, interleaved by time (as a
     // collector would), so on-SSD layout has no per-series locality.
@@ -55,8 +57,6 @@ main()
     Xorshift rng(17);
     std::vector<std::pair<uint64_t, std::string>> window;
     uint64_t values_read = 0;
-    const uint64_t ssd_reads_before =
-        db->opStats().vs_reads.load(std::memory_order_relaxed);
     for (int query = 0; query < 400; query++) {
         const uint32_t series = static_cast<uint32_t>(
             rng.nextUniform(4));  // 4 hot series out of 64
@@ -66,20 +66,20 @@ main()
         values_read += window.size();
     }
 
-    const auto &svc = db->svcStats();
+    const auto now = db->stats();
+    const auto delta = [&](const char *name) {
+        return static_cast<unsigned long long>(
+            now.counterDelta(opened, name));
+    };
     std::printf("scanned %llu values over 400 range queries\n",
                 static_cast<unsigned long long>(values_read));
     std::printf("SVC: %llu hits, %llu admissions, %llu evictions\n",
-                static_cast<unsigned long long>(svc.hits.load()),
-                static_cast<unsigned long long>(svc.admissions.load()),
-                static_cast<unsigned long long>(svc.evictions.load()));
+                delta("prism.svc.hits"), delta("prism.svc.admissions"),
+                delta("prism.svc.evictions"));
     std::printf("scan-aware reorganisations: %llu (rewrote %llu values "
                 "contiguously)\n",
-                static_cast<unsigned long long>(svc.scan_reorgs.load()),
-                static_cast<unsigned long long>(
-                    svc.reorged_values.load()));
-    std::printf("SSD value reads: %llu\n",
-                static_cast<unsigned long long>(
-                    db->opStats().vs_reads.load() - ssd_reads_before));
+                delta("prism.svc.scan_reorgs"),
+                delta("prism.svc.reorged_values"));
+    std::printf("SSD value reads: %llu\n", delta("prism.get.vs_reads"));
     return 0;
 }

@@ -14,8 +14,9 @@
 #include <vector>
 
 #include "common/rand.h"
-#include "core/prism_db.h"
+#include "core/shard_router.h"
 #include "sim/device_profile.h"
+#include "sim/ssd_device.h"
 
 using namespace prism;
 
@@ -38,13 +39,14 @@ main()
 {
     auto nvm = std::make_shared<sim::NvmDevice>(512ull << 20);
     auto region = std::make_shared<pmem::PmemRegion>(nvm, true);
-    std::vector<std::shared_ptr<sim::SsdDevice>> ssds = {
-        std::make_shared<sim::SsdDevice>(2ull << 30),
-        std::make_shared<sim::SsdDevice>(2ull << 30),
-    };
     core::PrismOptions opts;
     opts.pwb_size_bytes = 1 << 20;  // small PWBs: reclamation is active
-    auto db = core::PrismDb::open(opts, region, ssds);
+    auto db = core::ShardRouter::open(
+        opts, {{region,
+                {std::make_shared<sim::SsdDevice>(2ull << 30),
+                 std::make_shared<sim::SsdDevice>(2ull << 30)}}});
+    // Counters live in the process-wide stats registry: diff snapshots.
+    const auto opened = db->stats();
 
     constexpr int kClients = 4;
     constexpr uint64_t kUsers = 50000;
@@ -87,26 +89,29 @@ main()
         t.join();
     sweeper.join();
 
-    const auto &st = db->opStats();
+    const auto now = db->stats();
+    const auto delta = [&](const char *name) {
+        return static_cast<unsigned long long>(
+            now.counterDelta(opened, name));
+    };
+    const double user_bytes =
+        static_cast<double>(delta("prism.user_bytes_written"));
     std::printf("sessions live:      %zu\n", db->size());
     std::printf("client reads:       %llu (SVC hits %llu, PWB hits %llu, "
                 "SSD reads %llu)\n",
                 static_cast<unsigned long long>(reads.load()),
-                static_cast<unsigned long long>(st.svc_hits.load()),
-                static_cast<unsigned long long>(st.pwb_hits.load()),
-                static_cast<unsigned long long>(st.vs_reads.load()));
+                delta("prism.get.svc_hits"), delta("prism.get.pwb_hits"),
+                delta("prism.get.vs_reads"));
     std::printf("client writes:      %llu (stale versions skipped at "
                 "reclaim: %llu)\n",
                 static_cast<unsigned long long>(writes.load()),
-                static_cast<unsigned long long>(
-                    st.reclaim_skipped_stale.load()));
+                delta("prism.pwb.reclaim_skipped_stale"));
     std::printf("sessions expired:   %llu\n",
                 static_cast<unsigned long long>(expired.load()));
     std::printf("SSD bytes written:  %.1f MB for %.1f MB of user data "
                 "(WAF %.2f)\n",
                 static_cast<double>(db->ssdBytesWritten()) / 1e6,
-                static_cast<double>(st.user_bytes_written.load()) / 1e6,
-                static_cast<double>(db->ssdBytesWritten()) /
-                    static_cast<double>(st.user_bytes_written.load()));
+                user_bytes / 1e6,
+                static_cast<double>(db->ssdBytesWritten()) / user_bytes);
     return 0;
 }

@@ -87,7 +87,7 @@ std::string listenerInfoJson();
  * socket and every client over poll(); requests are GET-only,
  * connection-per-request (Connection: close). Lifecycle is
  * start()/stop(); the destructor stops. Intended to be owned by the
- * top-level store (PrismDb or ShardRouter), but self-contained enough
+ * store handle (core::ShardRouter), but self-contained enough
  * for tests to run standalone.
  */
 class ObsServer {
@@ -118,7 +118,7 @@ class ObsServer {
     /**
      * Hook run before every /metrics snapshot, for gauges that are
      * computed on demand rather than maintained incrementally (e.g.
-     * PrismDb::publishOccupancy). Same threading rules as above.
+     * ShardRouter::publishOccupancy). Same threading rules as above.
      */
     void setMetricsPrepare(std::function<void()> fn);
 

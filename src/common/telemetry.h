@@ -26,7 +26,7 @@
  * hot paths of the instrumented engines are untouched, so the sampler's
  * cost is one registry snapshot per interval regardless of op rate.
  *
- * Consumers: `PrismDb::telemetry()` (started via
+ * Consumers: `ShardRouter::telemetry()` (started via
  * `PrismOptions::telemetry_interval_ms`), every bench's
  * `--telemetry=<file>` flag, `prism_cli top`, and
  * `scripts/telemetry_report.py` which renders the exported JSON
@@ -161,7 +161,7 @@ class Telemetry {
     /**
      * Register a hook invoked at the start of every sample tick —
      * the publish point for occupancy gauges that are derived rather
-     * than maintained (PrismDb uses this for PWB fill / SVC bytes).
+     * than maintained (ShardRouter uses this for PWB fill / SVC bytes).
      * Returns an id for removeProbe. The hook must not call back into
      * Telemetry.
      */

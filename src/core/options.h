@@ -1,6 +1,10 @@
 /**
  * @file
- * Configuration for a PrismDb instance.
+ * Configuration for a store opened through core::ShardRouter (the only
+ * public handle): every shard gets the same options, and the router
+ * alone applies the process-wide ones (observability, fault injection).
+ * The sampling profiler has no option: $PRISM_PROF_HZ arms it at open
+ * (common/prof.h).
  *
  * Defaults reflect the paper's setup scaled to a single-machine
  * simulation: 512 KB Value Storage chunks, queue depth 64, a 50% PWB
@@ -26,7 +30,7 @@ enum class ReadBatchMode {
     kNone,
 };
 
-/** Tunables for one PrismDb instance. */
+/** Tunables for one store. */
 struct PrismOptions {
     /** @name Persistent Write Buffer (§4.3) */
     ///@{
@@ -80,7 +84,7 @@ struct PrismOptions {
      * falls back to posix with a warning when the kernel lacks it), or
      * "auto" (uring when available, else posix, silently). Empty defers
      * to $PRISM_IO_BACKEND, then "sim".
-     * Library users who pass their own device vector to PrismDb are
+     * Library users who pass their own devices in ShardBackends are
      * unaffected — the store never consults this.
      */
     std::string io_backend;
@@ -97,10 +101,10 @@ struct PrismOptions {
     /**
      * Number of independent PrismDb shards the router fronts. Must be a
      * power of two (keys are hash-partitioned with a mask). 1 routes
-     * every op to a single shard — today's behaviour, bit-identical.
-     * 0 (the default) defers to $PRISM_SHARDS, then 1. Only harnesses
-     * that construct stores through ShardRouter / PrismStore consult
-     * this; a directly-built PrismDb ignores it.
+     * every op to a single shard. 0 (the default) defers to
+     * $PRISM_SHARDS, then 1. Harnesses that build their own device
+     * fleet (PrismStore) consult this; ShardRouter itself takes the
+     * count from its ShardBackends.
      */
     int shards = 0;
     /**
@@ -161,30 +165,14 @@ struct PrismOptions {
     /** @name Observability (docs/OBSERVABILITY.md) */
     ///@{
     /**
-     * When > 0, a background thread dumps the process-wide stats
-     * registry to stderr every this-many milliseconds.
-     */
-    uint64_t stats_dump_interval_ms = 0;
-    /** Dump format for the periodic dumper: JSON lines vs aligned text. */
-    bool stats_dump_json = false;
-    /**
      * Start with cross-layer tracing (src/common/trace.h) recording.
      * The tracer is process-wide; this just flips it on at open so a
      * whole run is captured without touching TraceRegistry directly.
-     * Tracing can also be toggled at runtime (prism_cli `trace on`).
+     * Tracing can also be toggled at runtime (prism_cli `trace on`);
+     * slow-op capture, ring size and keep count are TraceRegistry
+     * setters (prism_cli `trace slow <us>`).
      */
     bool trace_enabled = false;
-    /**
-     * Ops slower than this many microseconds get their span tree copied
-     * into the keep-worst slow-op buffer (PrismDb::slowOps()). 0
-     * disables capture. Implies ring recording while set.
-     */
-    uint64_t trace_slow_op_us = 0;
-    /** Per-thread trace ring capacity in events (rounded to a power of
-     *  two; ~64 B/event). */
-    uint64_t trace_ring_events = 16384;
-    /** How many worst slow ops to keep. */
-    uint64_t trace_slow_op_keep = 32;
     /**
      * When > 0, start the process-wide telemetry sampler
      * (src/common/telemetry.h) at this interval: every tick snapshots
@@ -192,33 +180,19 @@ struct PrismOptions {
      * occupancy series, per-layer busy-ns, per-device utilization).
      * Off (0) by default; ~100 ms is the intended granularity. The
      * store that started the sampler stops it on close; the recorded
-     * series survives for export (PrismDb::telemetry()).
+     * series survives for export (ShardRouter::telemetry()).
      */
     uint64_t telemetry_interval_ms = 0;
     /** Telemetry ring capacity in sampling windows (default 600 ≈ one
      *  minute at 100 ms). */
     uint64_t telemetry_windows = 600;
     /**
-     * Sampling CPU profiler rate in Hz (common/prof.h). When > 0 the
-     * store arms the process-wide profiler at open (per-thread
-     * CPU-time timers + SIGPROF backtraces, plus the lock-contention
-     * profiler) and stops it at close if it did the arming. 0 (the
-     * default) defers to $PRISM_PROF_HZ, then stays off — off means
-     * zero timers and one relaxed load per instrumented site. ~99 Hz
-     * is the intended always-on rate (prime, to dodge lockstep with
-     * periodic work); collection is via /pprof/profile on the ops
-     * endpoint, `prism_cli profile`, or a bench's `--profile=<file>`.
-     */
-    int prof_hz = 0;
-    /**
      * HTTP ops endpoint (common/obs_server.h): TCP port for /metrics,
      * /healthz, /readyz, /slowops, /telemetry and /trace on 127.0.0.1.
      * -1 (the default) defers to $PRISM_OBS_PORT, then stays off;
      * 0 binds an ephemeral port (published as the prism.obs.port gauge
-     * and via PrismDb::obsPort() / ShardRouter::obsPort()); >0 binds
-     * that port. Only a top-level store serves: a PrismDb owned by a
-     * ShardRouter never starts its own listener — the router runs one
-     * for the whole fleet.
+     * and via ShardRouter::obsPort()); >0 binds that port. The router
+     * runs one listener for all its shards.
      */
     int obs_port = -1;
     ///@}
@@ -229,7 +203,7 @@ struct PrismOptions {
      * Fault schedule armed at open, in PRISM_FAULTS syntax
      * (`site=trigger[,payload:V][,oneshot];...`, see common/fault.h).
      * The registry is process-wide, so this *adds to* whatever the
-     * environment or an earlier instance armed; empty arms nothing.
+     * environment or an earlier store armed; empty arms nothing.
      * Tests and the torture harness use it to script failures without
      * touching the environment.
      */

@@ -11,7 +11,6 @@
 #include "common/log.h"
 #include "common/logging.h"
 #include "common/numa.h"
-#include "common/obs_server.h"
 #include "common/prof.h"
 #include "common/trace.h"
 #include "core/chunk_writer.h"
@@ -56,17 +55,8 @@ constexpr int kAsyncLookupRetries = 8;
 PrismDb::PrismDb(const PrismOptions &opts,
                  std::shared_ptr<pmem::PmemRegion> region,
                  std::vector<std::shared_ptr<io::IoBackend>> devices,
-                 bool format)
-    : PrismDb(opts, std::move(region), std::move(devices), format,
-              nullptr)
-{
-}
-
-PrismDb::PrismDb(const PrismOptions &opts,
-                 std::shared_ptr<pmem::PmemRegion> region,
-                 std::vector<std::shared_ptr<io::IoBackend>> devices,
-                 bool format, std::shared_ptr<BgPool> shared_pool)
-    : opts_(opts), region_(std::move(region))
+                 bool format, std::shared_ptr<BgPool> pool)
+    : opts_(opts), region_(std::move(region)), bg_pool_(std::move(pool))
 {
     PRISM_CHECK(!devices.empty());
     PRISM_CHECK(devices.size() <= ValueAddr::kSsdMask + 1);
@@ -99,30 +89,6 @@ PrismDb::PrismDb(const PrismOptions &opts,
     reg_.vs_read_retries = &reg.counter("prism.vs.retries", "ops");
     reg_.pwb_stall_ns = &reg.histogram("prism.pwb.stall_ns", "ns");
 
-    // Fault injection (docs/FAULTS.md): arm the environment schedule and
-    // any per-instance schedule from the options. The registry is
-    // process-wide and both are no-ops when empty, so the disabled path
-    // stays a single relaxed load at every fault site.
-    fault::FaultRegistry::global().armFromEnv();
-    if (!opts_.fault_spec.empty()) {
-        std::string err;
-        if (!fault::FaultRegistry::global().armSchedule(opts_.fault_spec,
-                                                        &err))
-            fatal("PrismOptions::fault_spec: %s", err.c_str());
-    }
-
-    // Tracer wiring: the tracer is process-wide (like the stats
-    // registry), so options only ever *raise* its state — a second
-    // store opened with defaults must not silently disable a trace the
-    // CLI or another instance turned on.
-    auto &tracer = trace::TraceRegistry::global();
-    tracer.setRingCapacity(opts_.trace_ring_events);
-    tracer.setSlowOpKeep(opts_.trace_slow_op_keep);
-    if (opts_.trace_slow_op_us > 0)
-        tracer.setSlowOpThresholdUs(opts_.trace_slow_op_us);
-    if (opts_.trace_enabled)
-        tracer.setEnabled(true);
-
     for (size_t i = 0; i < devices.size(); i++) {
         value_storages_.push_back(std::make_unique<ValueStorage>(
             static_cast<uint32_t>(i), devices[i], opts_, epochs_));
@@ -144,120 +110,42 @@ PrismDb::PrismDb(const PrismOptions &opts,
         region_->persist(master_, sizeof(MasterRoot));
         region_->setRoot(master_off_);
     } else {
-        recoverState();
+        runRecovery();
     }
 
     svc_ = std::make_unique<Svc>(*hsit_, epochs_, vs_ptrs_, opts_);
 
-    if (shared_pool != nullptr) {
-        // Shard-router mode: every shard shares one pool; each shard
-        // gets its own round-robin source so one shard's GC burst
-        // cannot starve another's reclaim (see core/bg_pool.h).
-        bg_pool_ = std::move(shared_pool);
-        owns_pool_ = false;
-    } else {
-        bg_pool_ = std::make_shared<BgPool>(opts_.bg_workers);
-    }
+    // Each shard is its own round-robin source on the shared pool, so
+    // one shard's GC burst cannot starve another's reclaim.
     bg_source_ = bg_pool_->allocSource();
     gc_scheduled_.reset(new std::atomic<bool>[value_storages_.size()]);
     for (size_t i = 0; i < value_storages_.size(); i++)
         gc_scheduled_[i].store(false, std::memory_order_relaxed);
     reclaimer_ = std::thread([this] { reclaimerLoop(); });
     gc_thread_ = std::thread([this] { gcLoop(); });
-    if (opts_.stats_dump_interval_ms > 0)
-        stats_dumper_ = std::thread([this] { statsDumperLoop(); });
-
-    // Telemetry wiring: the sampler is process-wide (like the tracer),
-    // so options only ever raise its state. The occupancy probe is
-    // registered unconditionally so manual sampling (prism_cli `top`,
-    // tests) sees PWB/SVC fill even when the periodic sampler is off.
-    auto &tel = telemetry::Telemetry::global();
-    telemetry_probe_ = tel.addProbe([this] { publishOccupancy(); });
-    if (opts_.telemetry_interval_ms > 0) {
-        tel.setCapacity(opts_.telemetry_windows);
-        telemetry_started_ = tel.start(opts_.telemetry_interval_ms);
-    }
-
-    // Profiler wiring mirrors telemetry: process-wide, options only
-    // raise its state, and whoever flipped it on stops it at close.
-    // 0 Hz (the default) keeps it entirely off — no timers, no rings.
-    if (const int hz = prof::resolveHz(opts_.prof_hz); hz > 0)
-        owns_prof_ = prof::Profiler::global().start(hz);
-
-    // Crash black-box (common/obs_server.h): arm the process-wide
-    // handlers when the environment asks for postmortems. Harnesses
-    // that want them unconditionally (prism_torture) call
-    // obs::installCrashHandlers directly.
-    if (const char *pm = std::getenv("PRISM_POSTMORTEM_DIR");
-        pm != nullptr && pm[0] != '\0')
-        obs::installCrashHandlers(pm);
-
-    // HTTP ops endpoint. Only a top-level store serves: a shard behind
-    // a ShardRouter (shared pool) defers to the router's fleet-wide
-    // server, which aggregates health across shards.
-    const int obs_port = obs::resolveObsPort(opts_.obs_port);
-    if (owns_pool_ && obs_port >= 0) {
-        obs_ = std::make_unique<obs::ObsServer>();
-        obs_->setMetricsPrepare([this] {
-            publishOccupancy();
-            trace::TraceRegistry::global().publishStats();
-            prof::Profiler::global().publishStats();
-        });
-        obs_->setHealthProvider([this] { return healthReport(); });
-        obs::ObsServer::Options oo;
-        oo.port = obs_port;
-        std::string err;
-        if (!obs_->start(oo, &err)) {
-            PRISM_LOG_WARN("obs.server", "ops endpoint disabled: %s",
-                           err.c_str());
-            obs_.reset();
-        }
-    }
 }
 
 PrismDb::~PrismDb()
 {
-    // Ops server first: its request handlers (health, occupancy
-    // refresh) call back into this object.
-    obs_.reset();
     // Wait out in-flight async operations first: their completion paths
     // (VS completion threads, bg-pool scan tasks) touch the SVC, HSIT,
     // epochs and the pool, all of which are torn down below.
     while (async_inflight_.load(std::memory_order_acquire) != 0)
         std::this_thread::yield();
-    // Unhook telemetry before any state the probe reads is torn down;
-    // stop the sampler only if this instance started it (the recorded
-    // series stays readable/exportable after close).
-    {
-        auto &tel = telemetry::Telemetry::global();
-        if (telemetry_started_)
-            tel.stop();
-        tel.removeProbe(telemetry_probe_);
-    }
-    if (owns_prof_)
-        prof::Profiler::global().stop();
     stop_.store(true, std::memory_order_release);
     reclaim_cv_.notify_all();
     gc_cv_.notify_all();
-    dumper_cv_.notify_all();
     reclaimer_.join();
     gc_thread_.join();
-    if (stats_dumper_.joinable())
-        stats_dumper_.join();
     // Dispatchers are gone; before tearing down any state the reclaim/
-    // GC tasks reference, make sure none of ours remain. An owned pool
-    // is drained and joined outright. A shared pool (shard router) must
-    // keep serving the other shards, so instead wait out this
-    // instance's own tasks — every dispatch is gated one-outstanding
-    // (per-PWB reclaim slot, per-VS gc flag) and counted in
-    // bg_inflight_, and the dispatchers above are joined, so the count
-    // can only fall.
-    if (owns_pool_) {
-        bg_pool_->shutdown();
-    } else {
-        while (bg_inflight_.load(std::memory_order_acquire) != 0)
-            std::this_thread::yield();
-    }
+    // GC tasks reference, make sure none of ours remain. The shared pool
+    // must keep serving the other shards, so wait out this shard's own
+    // tasks instead of shutting it down — every dispatch is gated
+    // one-outstanding (per-PWB reclaim slot, per-VS gc flag) and counted
+    // in bg_inflight_, and the dispatchers above are joined, so the
+    // count can only fall.
+    while (bg_inflight_.load(std::memory_order_acquire) != 0)
+        std::this_thread::yield();
     // Destroy the SVC (its manager thread uses hsit_/value_storages_),
     // then run every deferred reclamation before members are torn down:
     // pending lambdas reference PWBs, Value Storages and the HSIT.
@@ -266,7 +154,7 @@ PrismDb::~PrismDb()
 }
 
 void
-PrismDb::recoverState()
+PrismDb::runRecovery()
 {
     const uint64_t t0 = nowNs();
     const POff root = region_->root();
@@ -382,9 +270,6 @@ PrismDb::put(uint64_t key, std::string_view value)
     if (value.size() > opts_.max_value_bytes)
         return Status::invalidArgument("value too large");
     PRISM_TRACE_OP(op_scope, "prism.put");
-    stats_.puts.fetch_add(1, std::memory_order_relaxed);
-    stats_.user_bytes_written.fetch_add(value.size(),
-                                        std::memory_order_relaxed);
     reg_.puts->inc();
     reg_.user_bytes_written->add(value.size());
 
@@ -451,7 +336,6 @@ PrismDb::put(uint64_t key, std::string_view value)
         }
         // PWB full. The epoch guard must be dropped while waiting: the
         // space we need is released by an epoch-deferred head advance.
-        stats_.pwb_stalls.fetch_add(1, std::memory_order_relaxed);
         reg_.pwb_stalls->inc();
         if (stall_t0 == 0)
             stall_t0 = nowNs();
@@ -478,7 +362,6 @@ PrismDb::readValue(uint64_t hsit_idx, uint64_t key, ValueAddr addr,
             return Status::corruption("PWB record coupling mismatch");
         out->assign(reinterpret_cast<const char *>(hdr + 1),
                     hdr->value_size);
-        stats_.pwb_hits.fetch_add(1, std::memory_order_relaxed);
         reg_.pwb_hits->inc();
         return Status::ok();
     }
@@ -500,7 +383,6 @@ PrismDb::readValue(uint64_t hsit_idx, uint64_t key, ValueAddr addr,
     if (!recordCrcOk(*hdr, payload))
         return Status::corruption("Value Storage record checksum");
     out->assign(reinterpret_cast<const char *>(payload), hdr->value_size);
-    stats_.vs_reads.fetch_add(1, std::memory_order_relaxed);
     reg_.vs_reads->inc();
     if (admit_to_svc)
         svc_->admit(hsit_idx, key, addr, payload, hdr->value_size);
@@ -523,7 +405,6 @@ PrismDb::getPrefix(uint64_t key, std::string *out, Status *st, uint64_t *h,
         return true;
     }
     if (svc_->lookup(*h, addr->raw(), out)) {
-        stats_.svc_hits.fetch_add(1, std::memory_order_relaxed);
         reg_.svc_hits->inc();
         *st = Status::ok();
         return true;
@@ -538,7 +419,6 @@ PrismDb::get(uint64_t key, std::string *value)
     // an SSD miss is resolved through the TCQ (the caller is going to
     // block anyway, so it lends its thread to the read batcher).
     PRISM_TRACE_OP(op_scope, "prism.get");
-    stats_.gets.fetch_add(1, std::memory_order_relaxed);
     reg_.gets->inc();
     EpochGuard guard(epochs_);
     Status st;
@@ -553,7 +433,6 @@ Status
 PrismDb::del(uint64_t key)
 {
     PRISM_TRACE_OP(op_scope, "prism.del");
-    stats_.dels.fetch_add(1, std::memory_order_relaxed);
     reg_.dels->inc();
     EpochGuard guard(epochs_);
     const auto h = index_->lookup(key);
@@ -643,7 +522,6 @@ PrismDb::asyncGet(uint64_t key, AsyncCallback cb)
     // The op trace scope covers the synchronous prefix only; the flight
     // itself is visible as the device's submit/service spans.
     PRISM_TRACE_OP(op_scope, "prism.async_get");
-    stats_.gets.fetch_add(1, std::memory_order_relaxed);
     reg_.gets->inc();
     auto st = std::make_shared<AsyncOpState>();
     st->callback = std::move(cb);
@@ -771,7 +649,6 @@ PrismDb::onAsyncVsRead(AsyncGetCtx *ctx, const Status &io_st)
         if (parse_ok && hsit_->loadPrimary(ctx->h) == ctx->addr) {
             ctx->st->value.assign(reinterpret_cast<const char *>(payload),
                                   hdr->value_size);
-            stats_.vs_reads.fetch_add(1, std::memory_order_relaxed);
             reg_.vs_reads->inc();
             svc_->admit(ctx->h, ctx->key, ctx->addr, payload,
                         hdr->value_size);
@@ -806,7 +683,6 @@ PrismDb::scan(uint64_t start_key, size_t count,
 {
     PRISM_TRACE_OP(op_scope, "prism.scan");
     op_scope.arg(PRISM_TRACE_NID("count"), count);
-    stats_.scans.fetch_add(1, std::memory_order_relaxed);
     reg_.scans->inc();
     EpochGuard guard(epochs_);
     out->clear();
@@ -830,7 +706,6 @@ PrismDb::scan(uint64_t start_key, size_t count,
         out->emplace_back(key, std::string());
         std::string *slot = &out->back().second;
         if (svc_->lookup(h, addr.raw(), slot)) {
-            stats_.svc_hits.fetch_add(1, std::memory_order_relaxed);
             reg_.svc_hits->inc();
             noted.emplace_back(key, h);
             continue;
@@ -926,7 +801,6 @@ PrismDb::scan(uint64_t start_key, size_t count,
                 (*out)[r.out_idx].second.assign(
                     reinterpret_cast<const char *>(payload),
                     hdr->value_size);
-                stats_.vs_reads.fetch_add(1, std::memory_order_relaxed);
                 reg_.vs_reads->inc();
                 svc_->admit(r.h, r.key, r.addr, payload, hdr->value_size);
                 noted.emplace_back(r.key, r.h);
@@ -952,7 +826,6 @@ PrismDb::multiGet(const std::vector<uint64_t> &keys,
 {
     PRISM_TRACE_OP(op_scope, "prism.multiget");
     op_scope.arg(PRISM_TRACE_NID("keys"), keys.size());
-    stats_.gets.fetch_add(keys.size(), std::memory_order_relaxed);
     reg_.gets->add(keys.size());
     EpochGuard guard(epochs_);
     out->assign(keys.size(), std::nullopt);
@@ -977,7 +850,6 @@ PrismDb::multiGet(const std::vector<uint64_t> &keys,
             continue;
         std::string value;
         if (svc_->lookup(*h, addr.raw(), &value)) {
-            stats_.svc_hits.fetch_add(1, std::memory_order_relaxed);
             reg_.svc_hits->inc();
             (*out)[i] = std::move(value);
             continue;
@@ -1042,7 +914,6 @@ PrismDb::multiGet(const std::vector<uint64_t> &keys,
             return Status::corruption("multiGet record checksum");
         (*out)[r->out_idx].emplace(
             reinterpret_cast<const char *>(payload), hdr->value_size);
-        stats_.vs_reads.fetch_add(1, std::memory_order_relaxed);
         reg_.vs_reads->inc();
         svc_->admit(r->h, keys[r->out_idx], r->addr, payload,
                     hdr->value_size);
@@ -1125,8 +996,6 @@ PrismDb::reclaimPwb(Pwb *pwb, bool force)
                             ref.hdr->value_size, ref.addr,
                             ref.logical_end});
         } else {
-            stats_.reclaim_skipped_stale.fetch_add(
-                1, std::memory_order_relaxed);
             reg_.reclaim_skipped_stale->inc();
         }
     }
@@ -1154,8 +1023,6 @@ PrismDb::reclaimPwb(Pwb *pwb, bool force)
                 const auto &v = live[i];
                 if (hsit_->casPrimaryDurable(v.h, v.pwb_addr,
                                              placed[i])) {
-                    stats_.reclaimed_values.fetch_add(
-                        1, std::memory_order_relaxed);
                     reg_.reclaimed_values->inc();
                     // Write-back admission: a just-relocated value is a
                     // recent write and, under skewed request mixes, a
@@ -1226,7 +1093,6 @@ PrismDb::reclaimPwb(Pwb *pwb, bool force)
     }
 
     pass_span.arg(PRISM_TRACE_NID("live_records"), live.size());
-    stats_.reclaim_passes.fetch_add(1, std::memory_order_relaxed);
     reg_.reclaim_passes->inc();
     if (new_head == start)
         return;  // nothing resolved; no cursor/head movement to record
@@ -1458,124 +1324,24 @@ PrismDb::nvmIndexBytes() const
     return index_->nvmBytes() + hsit_->nvmBytes();
 }
 
-stats::StatsSnapshot
-PrismDb::stats() const
+uint64_t
+PrismDb::pwbUsedBytes() const
 {
-    return stats::StatsRegistry::global().snapshot();
+    uint64_t used = 0;
+    for (const auto &p : pwbs_)
+        if (const Pwb *pwb = p.load(std::memory_order_acquire))
+            used += pwb->usedBytes();
+    return used;
 }
 
-ErrorBudget
-PrismDb::errorBudget() const
+uint64_t
+PrismDb::pwbCapacityBytes() const
 {
-    auto &reg = stats::StatsRegistry::global();
-    ErrorBudget b;
-    b.faults_fired = reg.counter("prism.fault.fired").value();
-    b.ssd_io_errors = reg.counter("sim.ssd.io_errors").value();
-    b.pwb_retries = reg.counter("prism.pwb.retries").value();
-    b.pwb_write_failures =
-        reg.counter("prism.pwb.chunk_write_failures").value();
-    b.pwb_requeued_values =
-        reg.counter("prism.pwb.requeued_values").value();
-    b.vs_retries = reg.counter("prism.vs.retries").value();
-    b.vs_degraded = reg.counter("prism.vs.degraded").value();
-    b.bg_task_faults = reg.counter("prism.bg.task_faults").value();
-    for (const auto &vs : value_storages_) {
-        if (!const_cast<ValueStorage &>(*vs).device().healthy())
-            b.degraded_devices++;
-    }
-    return b;
-}
-
-obs::HealthReport
-PrismDb::healthReport() const
-{
-    const ErrorBudget b = errorBudget();
-    const bool draining = stop_.load(std::memory_order_acquire);
-    obs::HealthReport r;
-    r.healthy = !b.degraded();
-    r.ready = r.healthy && !draining;
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "{\"status\":\"%s\",\"ready\":%s,\"degraded_devices\":%llu,"
-        "\"devices\":%zu,\"draining\":%s,\"faults_fired\":%llu,"
-        "\"ssd_io_errors\":%llu,\"pwb_write_failures\":%llu,"
-        "\"vs_degraded\":%llu,\"bg_task_faults\":%llu,"
-        "\"recovery_ns\":%llu,\"prof_hz\":%d}",
-        r.healthy ? "ok" : "degraded", r.ready ? "true" : "false",
-        static_cast<unsigned long long>(b.degraded_devices),
-        value_storages_.size(), draining ? "true" : "false",
-        static_cast<unsigned long long>(b.faults_fired),
-        static_cast<unsigned long long>(b.ssd_io_errors),
-        static_cast<unsigned long long>(b.pwb_write_failures),
-        static_cast<unsigned long long>(b.vs_degraded),
-        static_cast<unsigned long long>(b.bg_task_faults),
-        static_cast<unsigned long long>(recovery_ns_),
-        prof::Profiler::global().running()
-            ? prof::Profiler::global().hz() : 0);
-    r.json = buf;
-    // When a network front-end is embedded its listener registers a
-    // JSON provider; splice it in so /healthz shows listener state.
-    if (std::string lj = obs::listenerInfoJson(); !lj.empty()) {
-        r.json.pop_back();
-        r.json += ",\"listener\":" + lj + "}";
-    }
-    return r;
-}
-
-int
-PrismDb::obsPort() const
-{
-    return obs_ != nullptr ? obs_->port() : 0;
-}
-
-void
-PrismDb::statsDumperLoop()
-{
-    trace::TraceRegistry::global().setThreadName("prism-stats-dumper");
-    const auto dumpOnce = [this] {
-        trace::TraceRegistry::global().publishStats();
-        const auto snap = stats::StatsRegistry::global().snapshot();
-        if (opts_.stats_dump_json) {
-            std::fprintf(stderr, "%s\n", snap.toJson().c_str());
-        } else {
-            std::fprintf(stderr, "---- prism stats ----\n%s",
-                         snap.toString().c_str());
-        }
-    };
-    std::unique_lock<std::mutex> lock(dumper_mu_);
-    while (!stop_.load(std::memory_order_acquire)) {
-        dumper_cv_.wait_for(
-            lock, std::chrono::milliseconds(opts_.stats_dump_interval_ms));
-        if (stop_.load(std::memory_order_acquire))
-            break;
-        dumpOnce();
-    }
-    // Final snapshot at close: a run shorter than the dump interval
-    // would otherwise exit without ever reporting.
-    dumpOnce();
-}
-
-void
-PrismDb::publishOccupancy()
-{
-    uint64_t pwb_used = 0, pwb_cap = 0;
-    for (size_t i = 0; i < ThreadId::kMaxThreads; i++) {
-        const Pwb *p = pwbs_[i].load(std::memory_order_acquire);
-        if (p == nullptr)
-            continue;
-        pwb_used += p->usedBytes();
-        pwb_cap += p->capacity();
-    }
-    auto &reg = stats::StatsRegistry::global();
-    reg.gauge("prism.pwb.used_bytes", "bytes")
-        .set(static_cast<int64_t>(pwb_used));
-    reg.gauge("prism.pwb.capacity_bytes", "bytes")
-        .set(static_cast<int64_t>(pwb_cap));
-    reg.gauge("prism.svc.used_bytes", "bytes")
-        .set(static_cast<int64_t>(svc_->usedBytes()));
-    reg.gauge("prism.svc.capacity_bytes", "bytes")
-        .set(static_cast<int64_t>(svc_->capacityBytes()));
+    uint64_t cap = 0;
+    for (const auto &p : pwbs_)
+        if (const Pwb *pwb = p.load(std::memory_order_acquire))
+            cap += pwb->capacity();
+    return cap;
 }
 
 }  // namespace prism::core

@@ -1,6 +1,9 @@
 /**
  * @file
- * PrismDb — the public key-value store API (§4, Fig. 2).
+ * PrismDb — one shard of the store (§4, Fig. 2). Applications open a
+ * core::ShardRouter (core/shard_router.h), the only public store
+ * handle; the router owns one PrismDb per shard, and with N = 1 every
+ * op forwards straight to the single PrismDb.
  *
  * Wires the five components together:
  *
@@ -19,15 +22,20 @@
  *    admission + scan-chain registration (§4.4).
  *  - del: index remove + epoch-deferred HSIT entry reclamation.
  *
- * Background threads: a bg_workers-sized I/O worker pool (§5.2) that
- * runs PWB reclamation passes (one per over-watermark PWB, concurrent
- * across PWBs) and per-Value-Storage GC passes (concurrent across
- * SSDs), fed by two light dispatcher threads (reclaimer, GC), plus the
- * SVC manager and one completion thread per Value Storage.
+ * Background threads: reclamation passes (one per over-watermark PWB,
+ * concurrent across PWBs) and per-Value-Storage GC passes (concurrent
+ * across SSDs) run on the router's shared BgPool (§5.2), fed by two
+ * light dispatcher threads (reclaimer, GC), plus the SVC manager and
+ * one completion thread per Value Storage.
  *
- * Crash consistency: see §5.5 / recover(). The store can be shut down
- * abruptly (or its devices snapshotted mid-run) and reopened with
- * recover(); tests inject crashes at arbitrary points via the pmem
+ * A shard has no process-wide side effects: the fault registry, tracer,
+ * telemetry sampler, profiler, crash handlers and HTTP ops server are
+ * armed once, by the router. Every counter a shard bumps lives in the
+ * process-wide stats registry (docs/OBSERVABILITY.md).
+ *
+ * Crash consistency: see §5.5 / runRecovery(). The store can be shut
+ * down abruptly (or its devices snapshotted mid-run) and reopened with
+ * format=false; tests inject crashes at arbitrary points via the pmem
  * tracking mode.
  */
 #pragma once
@@ -45,8 +53,6 @@
 #include "common/epoch.h"
 #include "common/stats.h"
 #include "common/status.h"
-#include "common/telemetry.h"
-#include "common/trace.h"
 #include "common/thread_util.h"
 #include "core/async.h"
 #include "core/bg_pool.h"
@@ -59,136 +65,37 @@
 #include "io/io_backend.h"
 #include "pmem/pmem_allocator.h"
 #include "pmem/pmem_region.h"
-#include "sim/ssd_device.h"
-
-namespace prism::obs {
-class ObsServer;
-struct HealthReport;
-}  // namespace prism::obs
 
 namespace prism::core {
 
-/** Operation counters exposed for benchmarks and tests. */
-struct PrismDbStats {
-    std::atomic<uint64_t> puts{0};
-    std::atomic<uint64_t> gets{0};
-    std::atomic<uint64_t> dels{0};
-    std::atomic<uint64_t> scans{0};
-    std::atomic<uint64_t> pwb_hits{0};   ///< gets served from the PWB
-    std::atomic<uint64_t> svc_hits{0};   ///< gets served from the SVC
-    std::atomic<uint64_t> vs_reads{0};   ///< gets that went to the SSD
-    std::atomic<uint64_t> reclaim_passes{0};
-    std::atomic<uint64_t> reclaimed_values{0};
-    std::atomic<uint64_t> reclaim_skipped_stale{0};  ///< dedup wins (§4.3)
-    std::atomic<uint64_t> user_bytes_written{0};     ///< WAF denominator
-    std::atomic<uint64_t> pwb_stalls{0};  ///< puts that waited for space
-};
-
-/**
- * Aggregate fault/degradation posture of the store (docs/FAULTS.md):
- * how much injected-fault and retry machinery has engaged since the
- * process started, and whether any SSD is currently dropped out. The
- * counters are process-wide (like the stats registry), so per-run
- * accounting should diff two snapshots.
- */
-struct ErrorBudget {
-    uint64_t faults_fired = 0;        ///< prism.fault.fired
-    uint64_t ssd_io_errors = 0;       ///< sim.ssd.io_errors (injected)
-    uint64_t pwb_retries = 0;         ///< chunk-write retry submissions
-    uint64_t pwb_write_failures = 0;  ///< chunks abandoned after retries
-    uint64_t pwb_requeued_values = 0; ///< records clamped back into rings
-    uint64_t vs_retries = 0;          ///< VS read retries / GC skips
-    uint64_t vs_degraded = 0;         ///< GC passes skipped, sick device
-    uint64_t bg_task_faults = 0;      ///< injected bg-task failures
-    uint64_t degraded_devices = 0;    ///< SSDs currently in dropout
-
-    /** True while at least one SSD is refusing writes. */
-    bool degraded() const { return degraded_devices > 0; }
-};
-
-/** A Prism key-value store instance. */
+/** One shard of a Prism store. */
 class PrismDb {
   public:
     /**
-     * Open a store.
+     * Open (format=true) or recover (format=false, §5.5) one shard.
      *
      * @param opts    tunables and ablation flags.
-     * @param region  the NVM pool (caller keeps ownership shared so crash
-     *                tests can snapshot/restore it).
+     * @param region  the shard's NVM pool (caller keeps ownership shared
+     *                so crash tests can snapshot/restore it).
      * @param devices one Value Storage is created per device. Any
      *                io::IoBackend works: the simulator, a real file via
      *                io::createFileBackend, or a mix (docs/IO_BACKENDS.md).
-     * @param format  true = initialise fresh; false = recover (§5.5).
+     * @param pool    the router's worker pool, shared by every shard;
+     *                this shard registers its own round-robin source
+     *                (core/bg_pool.h). The pool must outlive the shard;
+     *                the destructor quiesces this shard's own tasks
+     *                (reclaim slots, GC flags, async scans) but never
+     *                shuts the pool down.
      */
     PrismDb(const PrismOptions &opts,
             std::shared_ptr<pmem::PmemRegion> region,
             std::vector<std::shared_ptr<io::IoBackend>> devices,
-            bool format);
-
-    /**
-     * Open a store on an externally-owned worker pool. The shard router
-     * passes one pool to all shards so background capacity is shared
-     * (with per-shard round-robin fairness — each PrismDb registers its
-     * own BgPool source). The pool must outlive this instance; the
-     * destructor quiesces this instance's own tasks (reclaim slots, GC
-     * flags, async scans) but never shuts the pool down.
-     */
-    PrismDb(const PrismOptions &opts,
-            std::shared_ptr<pmem::PmemRegion> region,
-            std::vector<std::shared_ptr<io::IoBackend>> devices,
-            bool format, std::shared_ptr<BgPool> shared_pool);
-
-    /** Simulator-fleet convenience (the historical signature). */
-    PrismDb(const PrismOptions &opts,
-            std::shared_ptr<pmem::PmemRegion> region,
-            std::vector<std::shared_ptr<sim::SsdDevice>> ssds, bool format)
-        : PrismDb(opts, std::move(region), asBackends(ssds), format)
-    {
-    }
+            bool format, std::shared_ptr<BgPool> pool);
 
     ~PrismDb();
 
     PrismDb(const PrismDb &) = delete;
     PrismDb &operator=(const PrismDb &) = delete;
-
-    /** Widen a simulator fleet to the device-agnostic backend vector. */
-    static std::vector<std::shared_ptr<io::IoBackend>>
-    asBackends(const std::vector<std::shared_ptr<sim::SsdDevice>> &ssds)
-    {
-        return {ssds.begin(), ssds.end()};
-    }
-
-    /** Convenience: fresh store. */
-    static std::unique_ptr<PrismDb>
-    open(const PrismOptions &opts, std::shared_ptr<pmem::PmemRegion> region,
-         std::vector<std::shared_ptr<io::IoBackend>> devices)
-    {
-        return std::make_unique<PrismDb>(opts, std::move(region),
-                                         std::move(devices), true);
-    }
-    static std::unique_ptr<PrismDb>
-    open(const PrismOptions &opts, std::shared_ptr<pmem::PmemRegion> region,
-         const std::vector<std::shared_ptr<sim::SsdDevice>> &ssds)
-    {
-        return open(opts, std::move(region), asBackends(ssds));
-    }
-
-    /** Convenience: recover an existing store after crash/restart. */
-    static std::unique_ptr<PrismDb>
-    recover(const PrismOptions &opts,
-            std::shared_ptr<pmem::PmemRegion> region,
-            std::vector<std::shared_ptr<io::IoBackend>> devices)
-    {
-        return std::make_unique<PrismDb>(opts, std::move(region),
-                                         std::move(devices), false);
-    }
-    static std::unique_ptr<PrismDb>
-    recover(const PrismOptions &opts,
-            std::shared_ptr<pmem::PmemRegion> region,
-            const std::vector<std::shared_ptr<sim::SsdDevice>> &ssds)
-    {
-        return recover(opts, std::move(region), asBackends(ssds));
-    }
 
     /** @name Store operations */
     ///@{
@@ -283,66 +190,18 @@ class PrismDb {
     /** Run GC passes until no Value Storage is above its watermark. */
     void forceGc();
 
-    /** @name Introspection for benchmarks */
+    /** @name Introspection (router aggregation, tests) */
     ///@{
-    /**
-     * Snapshot of the process-wide metrics registry: every layer's
-     * counters/gauges/histograms by name (docs/OBSERVABILITY.md). The
-     * registry outlives (and is shared across) store instances, so
-     * per-run accounting should diff two snapshots with counterDelta().
-     */
-    stats::StatsSnapshot stats() const;
+    /** Bytes appended to / reserved by this shard's PWBs. */
+    uint64_t pwbUsedBytes() const;
+    uint64_t pwbCapacityBytes() const;
 
-    /**
-     * The process-wide telemetry sampler/ring (common/telemetry.h):
-     * windowed rate series over every registry metric plus per-layer
-     * busy-ns and per-device utilization. Started automatically when
-     * PrismOptions::telemetry_interval_ms > 0; `telemetry().series()`
-     * reads the recorded windows, `telemetry().exportSeriesJsonToFile`
-     * writes the series consumed by scripts/telemetry_report.py.
-     */
-    telemetry::Telemetry &telemetry() const {
-        return telemetry::Telemetry::global();
-    }
-
-    /**
-     * Current fault/degradation posture: injected-fault fires, retry and
-     * re-queue activity, and the number of currently dropped-out SSDs.
-     * Cheap enough to poll (a handful of counter sums).
-     */
-    ErrorBudget errorBudget() const;
-
-    /**
-     * /healthz + /readyz payload (common/obs_server.h): 200/503 flags
-     * plus an error-budget JSON body. Also the in-process render behind
-     * `prism_cli healthz`, so orchestrator and operator see one truth.
-     */
-    obs::HealthReport healthReport() const;
-
-    /**
-     * Bound port of this store's HTTP ops endpoint, 0 when no server is
-     * running (the default; see PrismOptions::obs_port).
-     */
-    int obsPort() const;
-
-    /**
-     * Refresh the derived occupancy gauges (summed PWB ring fill, SVC
-     * bytes) in the stats registry. Registered as a telemetry probe and
-     * run before every /metrics render; also useful before a manual
-     * snapshot.
-     */
-    void publishOccupancy();
-
-    /** This instance's raw operation counters (tests, benches). */
-    PrismDbStats &opStats() { return stats_; }
-    SvcStats &svcStats() { return svc_->stats(); }
     index::KeyIndex &keyIndex() { return *index_; }
     Hsit &hsit() { return *hsit_; }
     Svc &svc() { return *svc_; }
     ValueStorage &valueStorage(size_t i) { return *value_storages_[i]; }
     size_t valueStorageCount() const { return value_storages_.size(); }
     EpochManager &epochs() { return epochs_; }
-    BgPool &bgPool() { return *bg_pool_; }
 
     /** Total SSD bytes written across all Value Storages (WAF numerator). */
     uint64_t ssdBytesWritten() const;
@@ -352,15 +211,6 @@ class PrismDb {
 
     /** Wall-clock nanoseconds the constructor spent in recovery. */
     uint64_t recoveryTimeNs() const { return recovery_ns_; }
-
-    /**
-     * Captured slow operations, worst first (ops whose wall time
-     * exceeded PrismOptions::trace_slow_op_us; see common/trace.h).
-     * The buffer is process-wide, like the stats registry.
-     */
-    std::vector<trace::SlowOp> slowOps() const {
-        return trace::TraceRegistry::global().slowOps();
-    }
     ///@}
 
   private:
@@ -401,7 +251,6 @@ class PrismDb {
 
     void reclaimerLoop();
     void gcLoop();
-    void statsDumperLoop();
     /**
      * One reclamation pass over @p pwb (§5.2, Fig. 4), pipelined: up to
      * reclaim_pipeline_depth chunk writes stay in flight, each chunk
@@ -424,7 +273,7 @@ class PrismDb {
     void dispatchGc(size_t vs_id);
     /** One concurrent GC pass over every Value Storage (pool-assisted). */
     void runGcRoundParallel();
-    void recoverState();
+    void runRecovery();
     void clearOldLocation(uint64_t hsit_idx, ValueAddr old_addr);
 
     /** On-NVM master root tying all persistent components together. */
@@ -455,15 +304,12 @@ class PrismDb {
     std::atomic<Pwb *> pwbs_[ThreadId::kMaxThreads] = {};
 
     std::atomic<bool> stop_{false};
-    /** Worker pool for reclamation and GC tasks (§5.2). Owned unless a
-     *  shared pool was passed in (shard router); see owns_pool_. */
+    /** The router's worker pool for reclamation and GC tasks (§5.2). */
     std::shared_ptr<BgPool> bg_pool_;
-    /** False when bg_pool_ is externally owned: the destructor then
-     *  waits out bg_inflight_ instead of calling shutdown(). */
-    bool owns_pool_ = true;
-    /** This instance's round-robin source id in bg_pool_. */
+    /** This shard's round-robin source id in bg_pool_. */
     int bg_source_ = 0;
-    /** Tasks this instance has on the (possibly shared) pool. */
+    /** Tasks this shard has on the shared pool; the destructor waits
+     *  them out. */
     std::atomic<uint64_t> bg_inflight_{0};
     std::thread reclaimer_;
     std::thread gc_thread_;
@@ -475,14 +321,6 @@ class PrismDb {
     std::condition_variable gc_cv_;
     /** One outstanding GC dispatch per Value Storage. */
     std::unique_ptr<std::atomic<bool>[]> gc_scheduled_;
-
-    // Optional periodic dump of the stats registry (PrismOptions::
-    // stats_dump_interval_ms).
-    std::thread stats_dumper_;
-    std::mutex dumper_mu_;
-    std::condition_variable dumper_cv_;
-
-    PrismDbStats stats_;
 
     /** Cached process-wide registry metrics (see common/stats.h). */
     struct RegMetrics {
@@ -508,23 +346,9 @@ class PrismDb {
     };
     RegMetrics reg_;
 
-    /** Telemetry wiring: probe id for publishOccupancy(), and whether
-     *  this instance started the (process-wide) sampler. */
-    int telemetry_probe_ = -1;
-    bool telemetry_started_ = false;
-
-    /** Whether this instance armed the (process-wide) CPU/lock profiler
-     *  at open (PrismOptions::prof_hz); the owner stops it at close. */
-    bool owns_prof_ = false;
-
     /** Async ops in flight; the destructor waits it out before teardown
      *  (their completion paths touch the SVC, HSIT and bg pool). */
     std::atomic<uint64_t> async_inflight_{0};
-
-    /** HTTP ops endpoint, when PrismOptions::obs_port asked for one and
-     *  this store is top-level (owns its pool). Stopped first in the
-     *  destructor — its handlers call back into this object. */
-    std::unique_ptr<obs::ObsServer> obs_;
 
     uint64_t recovery_ns_ = 0;
 };

@@ -57,8 +57,6 @@ ReadBatcher::readUnbatched(Node &node)
     Status s = device_.submit(node.req);
     if (!s.isOk())
         return s;
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    requests_.fetch_add(1, std::memory_order_relaxed);
     reg_batches_->inc();
     reg_requests_->inc();
     return node.waiter.waitNonzero() == ReadWaiter::kOk
@@ -145,8 +143,6 @@ ReadBatcher::leadAndSubmit(Node &self)
     Status s = device_.submit({batch.data(), batch.size()});
     if (!s.isOk())
         return s;
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    requests_.fetch_add(batch.size(), std::memory_order_relaxed);
     reg_batches_->inc();
     reg_requests_->add(batch.size());
 
@@ -201,8 +197,6 @@ ReadBatcher::taLoop()
                           ta_pending_.begin() + static_cast<long>(n));
         lock.unlock();
         device_.submit({batch.data(), batch.size()});
-        batches_.fetch_add(1, std::memory_order_relaxed);
-        requests_.fetch_add(n, std::memory_order_relaxed);
         reg_batches_->inc();
         reg_requests_->add(n);
         lock.lock();

@@ -98,14 +98,6 @@ class ReadBatcher {
             ok ? ReadWaiter::kOk : ReadWaiter::kIoError);
     }
 
-    /** Total batches submitted / requests coalesced (for Fig. 11). */
-    uint64_t batchesSubmitted() const {
-        return batches_.load(std::memory_order_relaxed);
-    }
-    uint64_t requestsCoalesced() const {
-        return requests_.load(std::memory_order_relaxed);
-    }
-
   private:
     struct Node {
         io::IoRequest req;
@@ -136,9 +128,6 @@ class ReadBatcher {
     std::vector<Node *> ta_pending_;
     std::atomic<bool> stop_{false};
     std::thread ta_thread_;
-
-    std::atomic<uint64_t> batches_{0};
-    std::atomic<uint64_t> requests_{0};
 
     // Shared-by-name process-wide metrics; requests/batches is the TCQ
     // combine ratio (Fig. 11).

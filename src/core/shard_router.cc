@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "common/clock.h"
+#include "common/fault.h"
 #include "common/log.h"
 #include "common/logging.h"
 #include "common/numa.h"
@@ -60,59 +61,72 @@ ShardRouter::ShardRouter(const PrismOptions &opts,
     PRISM_CHECK(n >= 1 && isPow2(static_cast<int>(n)));
     const uint64_t t0 = nowNs();
 
+    // Process-wide wiring that shard construction (recovery) may
+    // already exercise. Options only ever raise process-wide state: a
+    // second store opened with defaults must not silently disarm a
+    // schedule, or disable a trace the CLI or another store turned on.
+    // Both fault schedules are no-ops when empty, so the disabled path
+    // stays a single relaxed load at every fault site (docs/FAULTS.md).
+    fault::FaultRegistry::global().armFromEnv();
+    if (!opts_.fault_spec.empty()) {
+        std::string err;
+        if (!fault::FaultRegistry::global().armSchedule(opts_.fault_spec,
+                                                        &err))
+            fatal("PrismOptions::fault_spec: %s", err.c_str());
+    }
+    if (opts_.trace_enabled)
+        trace::TraceRegistry::global().setEnabled(true);
+    // Crash black-box (common/obs_server.h) when the environment asks
+    // for postmortems. Harnesses that want them unconditionally
+    // (prism_torture) call obs::installCrashHandlers directly.
+    if (const char *pm = std::getenv("PRISM_POSTMORTEM_DIR");
+        pm != nullptr && pm[0] != '\0')
+        obs::installCrashHandlers(pm);
+
     pool_ = std::make_shared<BgPool>(opts_.bg_workers);
 
     auto &reg = stats::StatsRegistry::global();
-    shard_nodes_.resize(n, -1);
     reg_shard_ops_.resize(n);
     reg_shard_keys_.resize(n);
-    reg_shard_node_.resize(n);
     shards_.reserve(n);
     for (size_t i = 0; i < n; i++) {
         const std::string p = "prism.shard." + std::to_string(i);
         reg_shard_ops_[i] = &reg.counter(p + ".ops", "ops");
         reg_shard_keys_[i] = &reg.gauge(p + ".keys", "keys");
-        reg_shard_node_[i] = &reg.gauge(p + ".node", "node");
 
-        PrismOptions so = opts_;
-        // The router runs the fleet's one ops server (below); a shard
-        // must never bind its own. (The shared pool already suppresses
-        // it — owns_pool_ is false — but be explicit.)
-        so.obs_port = -1;
         // Router-level placement beats the (usually unset) per-instance
         // preference; an explicit user numa_node wins for all shards.
-        shard_nodes_[i] = so.numa_node >= 0
-                              ? so.numa_node
-                              : numa::nodeForShard(i, n);
-        so.numa_node = shard_nodes_[i];
-        // Options that arm process-wide machinery must fire once, not
-        // once per shard: shard 0 carries them, the rest get clean
-        // copies (the fault registry would otherwise arm N duplicate
-        // schedules and telemetry would start N times).
-        if (i > 0) {
-            so.fault_spec.clear();
-            so.telemetry_interval_ms = 0;
-            so.stats_dump_interval_ms = 0;
-        }
-        reg_shard_node_[i]->set(
-            static_cast<uint64_t>(std::max(shard_nodes_[i], 0)));
+        PrismOptions so = opts_;
+        if (so.numa_node < 0)
+            so.numa_node = numa::nodeForShard(i, n);
+        reg.gauge(p + ".node", "node")
+            .set(static_cast<uint64_t>(std::max(so.numa_node, 0)));
         shards_.push_back(std::make_unique<PrismDb>(
             so, backends[i].region, backends[i].devices, format, pool_));
     }
-
-    telemetry_probe_ = telemetry::Telemetry::global().addProbe(
-        [this] { publishShardGauges(); });
     recovery_ns_ = nowNs() - t0;
 
-    // Fleet-wide HTTP ops endpoint: one listener for all shards, with
-    // health summed over every shard's device slice.
+    // The occupancy probe is registered unconditionally so manual
+    // sampling (prism_cli `top`, tests) sees PWB/SVC fill even when the
+    // periodic sampler is off.
+    auto &tel = telemetry::Telemetry::global();
+    telemetry_probe_ = tel.addProbe([this] { publishOccupancy(); });
+    if (opts_.telemetry_interval_ms > 0) {
+        tel.setCapacity(opts_.telemetry_windows);
+        telemetry_started_ = tel.start(opts_.telemetry_interval_ms);
+    }
+    // $PRISM_PROF_HZ arms the profiler; unset (the default) keeps it
+    // entirely off — no timers, no rings.
+    if (const int hz = prof::resolveHz(0); hz > 0)
+        prof_started_ = prof::Profiler::global().start(hz);
+
+    // HTTP ops endpoint: one listener for all shards, with health
+    // summed over every shard's device slice.
     const int obs_port = obs::resolveObsPort(opts_.obs_port);
     if (obs_port >= 0) {
         obs_ = std::make_unique<obs::ObsServer>();
         obs_->setMetricsPrepare([this] {
-            for (auto &s : shards_)
-                s->publishOccupancy();
-            publishShardGauges();
+            publishOccupancy();
             trace::TraceRegistry::global().publishStats();
             prof::Profiler::global().publishStats();
         });
@@ -135,7 +149,15 @@ ShardRouter::~ShardRouter()
     // Router-level async scans hold `this`; wait them out first.
     while (async_scan_inflight_.load(std::memory_order_acquire) != 0)
         std::this_thread::yield();
-    telemetry::Telemetry::global().removeProbe(telemetry_probe_);
+    // Unhook telemetry before any state the probe reads is torn down;
+    // stop the sampler only if this router started it (the recorded
+    // series stays readable/exportable after close).
+    auto &tel = telemetry::Telemetry::global();
+    if (telemetry_started_)
+        tel.stop();
+    tel.removeProbe(telemetry_probe_);
+    if (prof_started_)
+        prof::Profiler::global().stop();
     // Shards first (each quiesces its own pool tasks), then the shared
     // pool they all reference.
     shards_.clear();
@@ -143,20 +165,43 @@ ShardRouter::~ShardRouter()
 }
 
 void
-ShardRouter::publishShardGauges()
+ShardRouter::publishOccupancy()
 {
-    for (size_t i = 0; i < shards_.size(); i++)
-        reg_shard_keys_[i]->set(shards_[i]->size());
+    uint64_t pwb_used = 0, pwb_cap = 0, svc_used = 0, svc_cap = 0;
+    for (size_t i = 0; i < shards_.size(); i++) {
+        PrismDb &s = *shards_[i];
+        reg_shard_keys_[i]->set(s.size());
+        pwb_used += s.pwbUsedBytes();
+        pwb_cap += s.pwbCapacityBytes();
+        svc_used += s.svc().usedBytes();
+        svc_cap += s.svc().capacityBytes();
+    }
+    auto &reg = stats::StatsRegistry::global();
+    reg.gauge("prism.pwb.used_bytes", "bytes").set(pwb_used);
+    reg.gauge("prism.pwb.capacity_bytes", "bytes").set(pwb_cap);
+    reg.gauge("prism.svc.used_bytes", "bytes").set(svc_used);
+    reg.gauge("prism.svc.capacity_bytes", "bytes").set(svc_cap);
 }
 
 ErrorBudget
 ShardRouter::errorBudget() const
 {
-    // The counter fields are process-wide, so shard 0's copy is the
-    // fleet's; degraded_devices is per-instance and must be summed.
-    ErrorBudget b = shards_[0]->errorBudget();
-    for (size_t i = 1; i < shards_.size(); i++)
-        b.degraded_devices += shards_[i]->errorBudget().degraded_devices;
+    auto &reg = stats::StatsRegistry::global();
+    ErrorBudget b;
+    b.faults_fired = reg.counter("prism.fault.fired").value();
+    b.ssd_io_errors = reg.counter("sim.ssd.io_errors").value();
+    b.pwb_retries = reg.counter("prism.pwb.retries").value();
+    b.pwb_write_failures =
+        reg.counter("prism.pwb.chunk_write_failures").value();
+    b.pwb_requeued_values =
+        reg.counter("prism.pwb.requeued_values").value();
+    b.vs_retries = reg.counter("prism.vs.retries").value();
+    b.vs_degraded = reg.counter("prism.vs.degraded").value();
+    b.bg_task_faults = reg.counter("prism.bg.task_faults").value();
+    for (const auto &s : shards_)
+        for (size_t i = 0; i < s->valueStorageCount(); i++)
+            if (!s->valueStorage(i).device().healthy())
+                b.degraded_devices++;
     return b;
 }
 
@@ -400,12 +445,14 @@ ShardRouter::asyncDel(uint64_t key, AsyncCallback cb)
 OpFuture
 ShardRouter::asyncScan(uint64_t start_key, size_t count, AsyncCallback cb)
 {
-    if (shards_.size() == 1)
+    if (shards_.size() == 1) {
+        reg_shard_ops_[0]->inc();
         return shards_[0]->asyncScan(start_key, count, std::move(cb));
-    // Cross-shard: delegate to shard 0's async machinery (which tracks
-    // the in-flight count the destructor drains) but run the *merged*
-    // scan. Shard 0's asyncScan would only see its own keys, so build
-    // the task here.
+    }
+    // Cross-shard: run the *merged* scan as one router-level task (a
+    // shard's asyncScan would only see its own keys); the destructor
+    // drains async_scan_inflight_. The merged scan counts its own
+    // per-shard fetches.
     auto st = std::make_shared<AsyncOpState>();
     st->callback = std::move(cb);
     OpFuture f(st);
@@ -468,76 +515,6 @@ ShardRouter::nvmIndexBytes() const
     for (const auto &s : shards_)
         total += s->nvmIndexBytes();
     return total;
-}
-
-PrismDbStats &
-ShardRouter::opStats()
-{
-    uint64_t puts = 0, gets = 0, dels = 0, scans = 0, pwb_hits = 0,
-             svc_hits = 0, vs_reads = 0, reclaim_passes = 0,
-             reclaimed_values = 0, skipped = 0, user_bytes = 0,
-             stalls = 0;
-    for (const auto &s : shards_) {
-        auto &st = s->opStats();
-        puts += st.puts.load(std::memory_order_relaxed);
-        gets += st.gets.load(std::memory_order_relaxed);
-        dels += st.dels.load(std::memory_order_relaxed);
-        scans += st.scans.load(std::memory_order_relaxed);
-        pwb_hits += st.pwb_hits.load(std::memory_order_relaxed);
-        svc_hits += st.svc_hits.load(std::memory_order_relaxed);
-        vs_reads += st.vs_reads.load(std::memory_order_relaxed);
-        reclaim_passes +=
-            st.reclaim_passes.load(std::memory_order_relaxed);
-        reclaimed_values +=
-            st.reclaimed_values.load(std::memory_order_relaxed);
-        skipped +=
-            st.reclaim_skipped_stale.load(std::memory_order_relaxed);
-        user_bytes +=
-            st.user_bytes_written.load(std::memory_order_relaxed);
-        stalls += st.pwb_stalls.load(std::memory_order_relaxed);
-    }
-    agg_op_stats_.puts.store(puts, std::memory_order_relaxed);
-    agg_op_stats_.gets.store(gets, std::memory_order_relaxed);
-    agg_op_stats_.dels.store(dels, std::memory_order_relaxed);
-    agg_op_stats_.scans.store(scans, std::memory_order_relaxed);
-    agg_op_stats_.pwb_hits.store(pwb_hits, std::memory_order_relaxed);
-    agg_op_stats_.svc_hits.store(svc_hits, std::memory_order_relaxed);
-    agg_op_stats_.vs_reads.store(vs_reads, std::memory_order_relaxed);
-    agg_op_stats_.reclaim_passes.store(reclaim_passes,
-                                       std::memory_order_relaxed);
-    agg_op_stats_.reclaimed_values.store(reclaimed_values,
-                                         std::memory_order_relaxed);
-    agg_op_stats_.reclaim_skipped_stale.store(skipped,
-                                              std::memory_order_relaxed);
-    agg_op_stats_.user_bytes_written.store(user_bytes,
-                                           std::memory_order_relaxed);
-    agg_op_stats_.pwb_stalls.store(stalls, std::memory_order_relaxed);
-    return agg_op_stats_;
-}
-
-SvcStats &
-ShardRouter::svcStats()
-{
-    uint64_t hits = 0, misses = 0, admissions = 0, evictions = 0,
-             reorgs = 0, reorged = 0;
-    for (const auto &s : shards_) {
-        auto &st = s->svcStats();
-        hits += st.hits.load(std::memory_order_relaxed);
-        misses += st.misses.load(std::memory_order_relaxed);
-        admissions += st.admissions.load(std::memory_order_relaxed);
-        evictions += st.evictions.load(std::memory_order_relaxed);
-        reorgs += st.scan_reorgs.load(std::memory_order_relaxed);
-        reorged += st.reorged_values.load(std::memory_order_relaxed);
-    }
-    agg_svc_stats_.hits.store(hits, std::memory_order_relaxed);
-    agg_svc_stats_.misses.store(misses, std::memory_order_relaxed);
-    agg_svc_stats_.admissions.store(admissions,
-                                    std::memory_order_relaxed);
-    agg_svc_stats_.evictions.store(evictions, std::memory_order_relaxed);
-    agg_svc_stats_.scan_reorgs.store(reorgs, std::memory_order_relaxed);
-    agg_svc_stats_.reorged_values.store(reorged,
-                                        std::memory_order_relaxed);
-    return agg_svc_stats_;
 }
 
 size_t

@@ -1,8 +1,8 @@
 /**
  * @file
- * ShardRouter — N independent PrismDb shards behind one PrismDb-shaped
- * API (ROADMAP item 3; the KVell comparator's shared-nothing pattern
- * applied to Prism's full stack).
+ * ShardRouter — the public store handle: N independent PrismDb shards
+ * behind one API (the KVell comparator's shared-nothing pattern applied
+ * to Prism's full stack). N = 1 is the plain single store.
  *
  * Why: a single PrismDb tops out well below linear scaling because
  * every client thread contends on one PacTree directory, one SVC and
@@ -17,22 +17,31 @@
  *    (each shard registers a BgPool source; see core/bg_pool.h), so
  *    background capacity follows load instead of being statically
  *    split N ways;
- *  - the process-wide stats registry / telemetry / tracer, as always.
+ *  - the process-wide stats registry, the only counter of every fact.
+ *
+ * Process-wide wiring: the router is the one owner of everything a
+ * store arms beyond its shards — the fault registry (environment and
+ * PrismOptions::fault_spec), the tracer (trace_enabled), the telemetry
+ * sampler and its occupancy probe, the profiler ($PRISM_PROF_HZ), the
+ * crash handlers ($PRISM_POSTMORTEM_DIR) and the HTTP ops server
+ * (obs_port). Options only ever raise process-wide state, and the
+ * destructor stops only what this router started. Shards have no
+ * process-wide side effects.
  *
  * Placement: on multi-node machines each shard is assigned a NUMA node
  * round-robin (common/numa.h) and its background threads (reclaimer,
  * GC scheduler, VS completion) are pinned there; single-node machines
  * run unpinned. The assignment is surfaced per shard as
  * prism.shard.<n>.node and the per-shard key count as
- * prism.shard.<n>.keys (a telemetry probe, like PrismDb's occupancy
- * probe), plus a prism.shard.<n>.ops counter on the routing hot path.
+ * prism.shard.<n>.keys (published by the occupancy probe), plus a
+ * prism.shard.<n>.ops counter on the routing hot path.
  *
  * Routing: shardOf(key) = hash64(key) & (N-1); N must be a power of
  * two. hash64 is splitmix64's finalizer — the same scrambling the YCSB
  * generators use, so partitions stay balanced even for dense
  * sequential key spaces. With N == 1 every router method forwards
  * straight to the single shard with no hashing, no fan-out machinery
- * and no merge — bit-identical to using PrismDb directly.
+ * and no merge.
  *
  * Cross-shard semantics:
  *  - scan(start, count): each shard returns its own count-smallest
@@ -43,9 +52,8 @@
  *    positions), fanned out shard-parallel, and the results written
  *    back into caller order — the output is indistinguishable from a
  *    single-shard multiGet.
- *  - Consistency is per-key (exactly PrismDb's guarantee): there is no
- *    cross-shard snapshot, and none is promised by the single-shard
- *    API either.
+ *  - Consistency is per-key (exactly a shard's guarantee): there is no
+ *    cross-shard snapshot.
  */
 #pragma once
 
@@ -57,7 +65,10 @@
 #include <string_view>
 #include <vector>
 
+#include "common/stats.h"
 #include "common/status.h"
+#include "common/telemetry.h"
+#include "common/trace.h"
 #include "core/async.h"
 #include "core/bg_pool.h"
 #include "core/options.h"
@@ -65,7 +76,34 @@
 #include "io/io_backend.h"
 #include "pmem/pmem_region.h"
 
+namespace prism::obs {
+class ObsServer;
+struct HealthReport;
+}  // namespace prism::obs
+
 namespace prism::core {
+
+/**
+ * Aggregate fault/degradation posture of the store (docs/FAULTS.md):
+ * how much injected-fault and retry machinery has engaged since the
+ * process started, and whether any SSD is currently dropped out. The
+ * counters are process-wide (like the stats registry), so per-run
+ * accounting should diff two snapshots.
+ */
+struct ErrorBudget {
+    uint64_t faults_fired = 0;        ///< prism.fault.fired
+    uint64_t ssd_io_errors = 0;       ///< sim.ssd.io_errors (injected)
+    uint64_t pwb_retries = 0;         ///< chunk-write retry submissions
+    uint64_t pwb_write_failures = 0;  ///< chunks abandoned after retries
+    uint64_t pwb_requeued_values = 0; ///< records clamped back into rings
+    uint64_t vs_retries = 0;          ///< VS read retries / GC skips
+    uint64_t vs_degraded = 0;         ///< GC passes skipped, sick device
+    uint64_t bg_task_faults = 0;      ///< injected bg-task failures
+    uint64_t degraded_devices = 0;    ///< SSDs currently in dropout
+
+    /** True while at least one SSD is refusing writes. */
+    bool degraded() const { return degraded_devices > 0; }
+};
 
 /** Everything one shard owns exclusively. */
 struct ShardBackends {
@@ -73,14 +111,15 @@ struct ShardBackends {
     std::vector<std::shared_ptr<io::IoBackend>> devices;
 };
 
-/** Hash-partitioning front-end over N PrismDb shards. */
+/** The store handle: a hash-partitioning front-end over N PrismDb shards. */
 class ShardRouter {
   public:
     /**
-     * Open (format=true) or recover (format=false) an N-shard store.
-     * N = backends.size(); must be a power of two. @p opts applies to
-     * every shard (the router overrides opts.numa_node per shard on
-     * multi-node machines; opts.bg_workers sizes the one shared pool).
+     * Open (format=true) or recover (format=false, §5.5) an N-shard
+     * store. N = backends.size(); must be a power of two. @p opts
+     * applies to every shard (the router overrides opts.numa_node per
+     * shard on multi-node machines; opts.bg_workers sizes the one
+     * shared pool) and arms the process-wide wiring (file comment).
      */
     ShardRouter(const PrismOptions &opts,
                 std::vector<ShardBackends> backends, bool format);
@@ -112,18 +151,12 @@ class ShardRouter {
     /** @name Routing */
     ///@{
     static size_t shardOf(uint64_t key, size_t shard_count);
-    size_t shardOfKey(uint64_t key) const {
-        return shardOf(key, shards_.size());
-    }
     size_t shardCount() const { return shards_.size(); }
     PrismDb &shard(size_t i) { return *shards_[i]; }
     const PrismDb &shard(size_t i) const { return *shards_[i]; }
-    BgPool &bgPool() { return *pool_; }
-    /** NUMA node shard @p i's background threads prefer (-1 unpinned). */
-    int shardNode(size_t i) const { return shard_nodes_[i]; }
     ///@}
 
-    /** @name Store operations (PrismDb contract, routed) */
+    /** @name Store operations (routed; per-op contracts on PrismDb) */
     ///@{
     Status put(uint64_t key, std::string_view value);
     Status get(uint64_t key, std::string *value);
@@ -154,52 +187,71 @@ class ShardRouter {
     void flushAll();
     void forceGc();
     size_t size() const;
+    /**
+     * Snapshot of the process-wide metrics registry: every layer's
+     * counters/gauges/histograms by name (docs/OBSERVABILITY.md). The
+     * registry outlives (and is shared across) stores, so per-run
+     * accounting should diff two snapshots with counterDelta().
+     */
     stats::StatsSnapshot stats() const {
         return stats::StatsRegistry::global().snapshot();
     }
     /**
-     * Fleet error budget: the counter fields are process-wide (any
-     * shard reports the same values); degraded_devices is summed over
-     * every shard's device slice so a dropout anywhere flips
-     * degraded().
+     * Current fault/degradation posture: the counter fields are
+     * process-wide; degraded_devices counts every shard's devices, so a
+     * dropout anywhere flips degraded(). Cheap enough to poll.
      */
     ErrorBudget errorBudget() const;
 
-    /** /healthz payload aggregated over the fleet (obs_server.h). */
+    /**
+     * /healthz + /readyz payload (common/obs_server.h): 200/503 flags
+     * plus an error-budget JSON body. Also the in-process render behind
+     * `prism_cli healthz`, so orchestrator and operator see one truth.
+     */
     obs::HealthReport healthReport() const;
 
-    /** Bound port of the router's HTTP ops endpoint, 0 when off. */
+    /**
+     * Bound port of the HTTP ops endpoint, 0 when no server is running
+     * (the default; see PrismOptions::obs_port).
+     */
     int obsPort() const;
-    uint64_t ssdBytesWritten() const;
-    uint64_t nvmIndexBytes() const;
 
     /**
-     * Cross-shard aggregate of the per-instance op counters, refreshed
-     * on every call (the returned reference stays valid; fields are
-     * monotonic sums over the shards). Lets PrismDb call sites read
-     * stats without caring about the shard count.
+     * Refresh the derived gauges in the stats registry: per-shard key
+     * counts and the PWB/SVC occupancy summed over shards. Registered as
+     * the telemetry probe and run before every /metrics render; also
+     * useful before a manual snapshot.
      */
-    PrismDbStats &opStats();
-    /** Cross-shard aggregate of the SVC counters (same contract). */
-    SvcStats &svcStats();
+    void publishOccupancy();
+
+    /** Total SSD bytes written across every shard (WAF numerator). */
+    uint64_t ssdBytesWritten() const;
+    /** NVM bytes used by every shard's Key Index + HSIT (§7.6). */
+    uint64_t nvmIndexBytes() const;
 
     /** Flat view over every shard's Value Storages (shard-major). */
     size_t valueStorageCount() const;
     ValueStorage &valueStorage(size_t global_idx);
 
-    /** Process-wide facilities (identical on every shard). */
+    /**
+     * The process-wide telemetry sampler/ring (common/telemetry.h):
+     * windowed rate series over every registry metric plus per-layer
+     * busy-ns and per-device utilization. Started when
+     * PrismOptions::telemetry_interval_ms > 0; `series()` reads the
+     * recorded windows, `exportSeriesJsonToFile` writes the series
+     * consumed by scripts/telemetry_report.py.
+     */
     telemetry::Telemetry &telemetry() const {
         return telemetry::Telemetry::global();
     }
+    /**
+     * Captured slow operations, worst first (ops slower than the
+     * tracer's slow-op threshold; see common/trace.h). Process-wide,
+     * like the stats registry.
+     */
     std::vector<trace::SlowOp> slowOps() const {
         return trace::TraceRegistry::global().slowOps();
     }
-
-    /** Shard 0's components, for single-shard-minded call sites. */
-    Svc &svc() { return shards_[0]->svc(); }
-    index::KeyIndex &keyIndex() { return shards_[0]->keyIndex(); }
-    Hsit &hsit() { return shards_[0]->hsit(); }
-    EpochManager &epochs() { return shards_[0]->epochs(); }
     /**
      * Wall-clock ns spent constructing the shards. Recovery is
      * *sequential* across shards on purpose: fault-injection triggers
@@ -211,30 +263,25 @@ class ShardRouter {
     ///@}
 
   private:
-    void publishShardGauges();
-
     PrismOptions opts_;
     std::shared_ptr<BgPool> pool_;
     std::vector<std::unique_ptr<PrismDb>> shards_;
-    std::vector<int> shard_nodes_;
 
-    /** Per-shard routed-op counters / gauges (prism.shard.<n>.*). */
+    /** Per-shard routed-op counters / key gauges (prism.shard.<n>.*). */
     std::vector<stats::Counter *> reg_shard_ops_;
     std::vector<stats::Gauge *> reg_shard_keys_;
-    std::vector<stats::Gauge *> reg_shard_node_;
 
     /** Router-level async scans on the pool; drained by the dtor. */
     std::atomic<uint64_t> async_scan_inflight_{0};
 
-    /** Aggregates behind opStats()/svcStats(); see their contract. */
-    PrismDbStats agg_op_stats_;
-    SvcStats agg_svc_stats_;
-
-    int telemetry_probe_ = -1;
     uint64_t recovery_ns_ = 0;
 
-    /** Fleet-wide HTTP ops endpoint (the shards never start their
-     *  own); stopped first in the destructor. */
+    /** Process-wide wiring this router started, and so stops. */
+    int telemetry_probe_ = -1;
+    bool telemetry_started_ = false;
+    bool prof_started_ = false;
+    /** HTTP ops endpoint; stopped first in the destructor, because its
+     *  handlers call back into the shards. */
     std::unique_ptr<obs::ObsServer> obs_;
 };
 

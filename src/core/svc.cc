@@ -61,20 +61,17 @@ Svc::lookup(uint64_t hsit_idx, uint64_t primary_raw, std::string *out)
     PRISM_TRACE_SPAN("svc.lookup");
     auto *e = static_cast<SvcEntry *>(hsit_.svcLoad(hsit_idx));
     if (e == nullptr) {
-        stats_.misses.fetch_add(1, std::memory_order_relaxed);
         reg_misses_->inc();
         return false;
     }
     // Staleness validation: the copy is authoritative only while the
     // forward pointer still names the record it was taken from.
     if (e->vs_raw.load(std::memory_order_acquire) != primary_raw) {
-        stats_.misses.fetch_add(1, std::memory_order_relaxed);
         reg_misses_->inc();
         return false;
     }
     out->assign(reinterpret_cast<const char *>(e->data()), e->size);
     e->referenced.store(true, std::memory_order_relaxed);
-    stats_.hits.fetch_add(1, std::memory_order_relaxed);
     reg_hits_->inc();
     return true;
 }
@@ -91,7 +88,8 @@ Svc::admit(uint64_t hsit_idx, uint64_t key, ValueAddr vs_addr,
     new (e) SvcEntry();
     e->key = key;
     e->hsit_idx = hsit_idx;
-    e->vs_raw.store(vs_addr.withoutDirty().raw(), std::memory_order_relaxed);
+    const uint64_t vs_raw = vs_addr.withoutDirty().raw();
+    e->vs_raw.store(vs_raw, std::memory_order_relaxed);
     e->size = size;
     std::memcpy(e->data(), payload, size);
 
@@ -102,7 +100,6 @@ Svc::admit(uint64_t hsit_idx, uint64_t key, ValueAddr vs_addr,
         operator delete(e);
         return;
     }
-    stats_.admissions.fetch_add(1, std::memory_order_relaxed);
     reg_admissions_->inc();
     {
         std::lock_guard<prof::TimedMutex> lock(ev_mu_);
@@ -112,9 +109,11 @@ Svc::admit(uint64_t hsit_idx, uint64_t key, ValueAddr vs_addr,
     // Post-publish re-validation: if the forward pointer moved while we
     // were publishing, retract the (possibly stale) copy. Whoever wins
     // the detach CAS enqueues the Remove; the background thread performs
-    // the actual retirement.
+    // the actual retirement. Once published, e may already have been
+    // detached and retired by a concurrent writer, so compare against
+    // the local copy rather than reading e.
     if (hsit_.entry(hsit_idx).primary.load(std::memory_order_acquire) !=
-        e->vs_raw.load(std::memory_order_relaxed)) {
+        vs_raw) {
         if (hsit_.svcCas(hsit_idx, e, nullptr)) {
             {
                 std::lock_guard<prof::TimedMutex> lock(ev_mu_);
@@ -361,7 +360,6 @@ Svc::evictOne()
         admitted_.erase(e);
         retireEntry(e);
     }
-    stats_.evictions.fetch_add(1, std::memory_order_relaxed);
     reg_evictions_->inc();
 }
 
@@ -458,8 +456,6 @@ Svc::reorganizeChain(SvcEntry *evictee)
                              new_addrs[i].recordBytes());
         }
     }
-    stats_.scan_reorgs.fetch_add(1, std::memory_order_relaxed);
-    stats_.reorged_values.fetch_add(moved, std::memory_order_relaxed);
     reg_scan_reorgs_->inc();
     reg_reorged_values_->add(moved);
 }

@@ -46,16 +46,6 @@
 
 namespace prism::core {
 
-/** Cache usage counters. */
-struct SvcStats {
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> misses{0};
-    std::atomic<uint64_t> admissions{0};
-    std::atomic<uint64_t> evictions{0};
-    std::atomic<uint64_t> scan_reorgs{0};
-    std::atomic<uint64_t> reorged_values{0};
-};
-
 /** The Scan-aware Value Cache. */
 class Svc {
   public:
@@ -124,7 +114,6 @@ class Svc {
         return used_bytes_.load(std::memory_order_relaxed);
     }
     uint64_t capacityBytes() const { return capacity_; }
-    SvcStats &stats() { return stats_; }
 
     /** Block until the event queue has been drained once (tests). */
     void drainForTest();
@@ -205,8 +194,6 @@ class Svc {
     // entry that was detached, retired and reclaimed in the meantime.
     std::unordered_set<SvcEntry *> admitted_;
     std::unordered_set<SvcEntry *> pending_remove_;
-
-    SvcStats stats_;
 
     // Shared-by-name process-wide metrics (see common/stats.h).
     stats::Counter *reg_hits_;

@@ -411,7 +411,6 @@ ValueStorage::runGcPass(Hsit &hsit)
             reclaimed++;
         }
     }
-    gc_passes_.fetch_add(1, std::memory_order_relaxed);
     reg_gc_passes_->inc();
     reg_gc_reclaimed_chunks_->add(reclaimed);
     reg_gc_pass_ns_->record(nowNs() - gc_t0);

@@ -146,10 +146,6 @@ class ValueStorage {
      * @return number of chunks reclaimed.
      */
     size_t runGcPass(Hsit &hsit);
-
-    uint64_t gcPasses() const {
-        return gc_passes_.load(std::memory_order_relaxed);
-    }
     ///@}
 
     /** @name Recovery (§5.5) */
@@ -197,7 +193,6 @@ class ValueStorage {
 
     std::atomic<bool> stop_{false};
     std::thread completion_thread_;
-    std::atomic<uint64_t> gc_passes_{0};
 
     // Shared-by-name process-wide metrics (see common/stats.h).
     stats::Counter *reg_gc_passes_;

@@ -1,7 +1,8 @@
 /**
  * @file
  * Uniform key-value store interface the YCSB driver runs against.
- * Adapters wrap PrismDb and every baseline behind it.
+ * Adapters wrap the Prism store (core::ShardRouter) and every
+ * baseline behind it.
  */
 #pragma once
 

@@ -96,7 +96,7 @@ PrismStore::PrismStore(const FixtureOptions &fx, core::PrismOptions opts)
         for (int i = 0; i < total_devs; i++)
             ssds_.push_back(std::make_shared<sim::SsdDevice>(
                 dev_bytes, fx.ssd_profile, fx.model_timing));
-        devices_ = core::PrismDb::asBackends(ssds_);
+        devices_.assign(ssds_.begin(), ssds_.end());
     } else {
         devices_ = io::createFileBackendSet(
             kind, io::resolveBackendDir(opts.io_backend_dir), total_devs,
@@ -122,6 +122,9 @@ PrismStore::PrismStore(const FixtureOptions &fx, core::PrismOptions opts)
                                                /*format=*/true));
     }
     router_ = core::ShardRouter::open(opts, shardBackends());
+    user_bytes_ = &stats::StatsRegistry::global().counter(
+        "prism.user_bytes_written", "bytes");
+    user_bytes_base_ = user_bytes_->value();
 }
 
 std::vector<core::ShardBackends>

@@ -18,7 +18,6 @@
 #include <memory>
 #include <optional>
 
-#include "core/prism_db.h"
 #include "core/shard_router.h"
 #include "kvell/kvell.h"
 #include "sim/device_profile.h"
@@ -51,7 +50,7 @@ struct FixtureOptions {
 /**
  * Prism fixture. Always built through core::ShardRouter —
  * PrismOptions::shards (or $PRISM_SHARDS) picks the shard count, and 1
- * (the default) is the bit-identical single-PrismDb fast path. Each
+ * (the default) is the plain single store. Each
  * shard gets its own NVM region and an exclusive slice of the device
  * fleet; budgets (PWB/SVC/HSIT) are divided per shard so the sharded
  * store's total cost matches the unsharded one at the same fixture
@@ -85,9 +84,9 @@ class PrismStore : public KvStore {
     uint64_t ssdBytesWritten() const override {
         return router_->ssdBytesWritten();
     }
+    /** prism.user_bytes_written since the fixture was built. */
     uint64_t userBytesWritten() const override {
-        return router_->opStats().user_bytes_written.load(
-            std::memory_order_relaxed);
+        return user_bytes_->value() - user_bytes_base_;
     }
 
     // Native async engine (core/async.h) instead of the sync-wrapping
@@ -115,12 +114,7 @@ class PrismStore : public KvStore {
         return router_->asyncScan(start_key, count, std::move(cb));
     }
 
-    /**
-     * The store behind the fixture. A ShardRouter mirrors PrismDb's
-     * public surface (ops, stats, flushAll/forceGc, value-storage
-     * introspection), so call sites read naturally at any shard count.
-     */
-    core::ShardRouter &db() { return *router_; }
+    /** The store behind the fixture. */
     core::ShardRouter &router() { return *router_; }
     /** Shard 0's NVM region (single-shard crash tests). */
     std::shared_ptr<pmem::PmemRegion> region() { return regions_[0]; }
@@ -150,6 +144,8 @@ class PrismStore : public KvStore {
     std::vector<std::vector<std::shared_ptr<io::IoBackend>>>
         shard_devices_;
     std::unique_ptr<core::ShardRouter> router_;
+    stats::Counter *user_bytes_ = nullptr;
+    uint64_t user_bytes_base_ = 0;
 };
 
 /** KVell fixture. */

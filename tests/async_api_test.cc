@@ -1,6 +1,6 @@
 /**
  * @file
- * Async request pipeline tests (core/async.h, PrismDb::async*).
+ * Async request pipeline tests (core/async.h, ShardRouter::async*).
  *
  * Covers the tentpole contract: one caller thread keeps hundreds of
  * gets in flight (>= 128 concurrently, measured via asyncInflight()
@@ -20,8 +20,9 @@
 
 #include "common/fault.h"
 #include "core/async.h"
-#include "core/prism_db.h"
+#include "core/shard_router.h"
 #include "sim/device_profile.h"
+#include "sim/ssd_device.h"
 #include "ycsb/kv_interface.h"
 
 namespace prism::core {
@@ -31,7 +32,7 @@ struct TestStore {
     std::shared_ptr<sim::NvmDevice> nvm;
     std::shared_ptr<pmem::PmemRegion> region;
     std::vector<std::shared_ptr<sim::SsdDevice>> ssds;
-    std::unique_ptr<PrismDb> db;
+    std::unique_ptr<ShardRouter> db;
     PrismOptions opts;
 
     explicit TestStore(bool model_timing = false, bool enable_svc = true)
@@ -48,7 +49,7 @@ struct TestStore {
         ssds.push_back(std::make_shared<sim::SsdDevice>(
             64ull * 1024 * 1024, sim::kSamsung980ProProfile,
             model_timing));
-        db = PrismDb::open(opts, region, ssds);
+        db = ShardRouter::open(opts, {{region, {ssds.begin(), ssds.end()}}});
     }
 };
 
@@ -164,7 +165,7 @@ TEST(AsyncApi, AgreesWithBlockingApi)
             break;
           }
           case 2: {
-            const Status &st = ts.db->asyncDel(key).wait();
+            const Status st = ts.db->asyncDel(key).wait();
             if (model.erase(key) != 0)
                 EXPECT_TRUE(st.isOk());
             else

@@ -19,8 +19,9 @@
 #include <vector>
 
 #include "common/rand.h"
-#include "core/prism_db.h"
+#include "core/shard_router.h"
 #include "sim/device_profile.h"
+#include "sim/ssd_device.h"
 
 namespace prism::core {
 namespace {
@@ -46,7 +47,7 @@ struct Rig {
     std::shared_ptr<sim::NvmDevice> nvm;
     std::shared_ptr<pmem::PmemRegion> region;
     std::vector<std::shared_ptr<sim::SsdDevice>> ssds;
-    std::unique_ptr<PrismDb> db;
+    std::unique_ptr<ShardRouter> db;
 
     explicit Rig(const PrismOptions &o, int num_ssds, bool tracking,
                  uint64_t ssd_bytes = kSsdBytes)
@@ -61,7 +62,7 @@ struct Rig {
             ssds.push_back(std::make_shared<sim::SsdDevice>(
                 ssd_bytes, sim::kSamsung980ProProfile, /*timing=*/false));
         }
-        db = PrismDb::open(opts, region, ssds);
+        db = ShardRouter::open(opts, {{region, {ssds.begin(), ssds.end()}}});
     }
 };
 
@@ -149,7 +150,7 @@ TEST(BgIoStressTest, ParallelReclaimAndGcNeverLoseValues)
               0u);
     EXPECT_GT(after.counterDelta(before, "prism.bg.tasks"), 0u);
     EXPECT_GT(after.counterDelta(before, "prism.vs.gc_passes"), 0u);
-    EXPECT_GT(rig.db->opStats().reclaim_passes.load(), 0u);
+    EXPECT_GT(after.counterDelta(before, "prism.pwb.reclaim_passes"), 0u);
 }
 
 TEST(BgIoStressTest, CrashMidParallelReclaimRecoversExactlyOnce)
@@ -226,7 +227,8 @@ TEST(BgIoStressTest, CrashMidParallelReclaimRecoversExactlyOnce)
             d->loadFrom(img);
             ssds2.push_back(std::move(d));
         }
-        auto recovered = PrismDb::recover(opts, region2, ssds2);
+        auto recovered = ShardRouter::recover(
+            opts, {{region2, {ssds2.begin(), ssds2.end()}}});
 
         // "Exactly once": a full scan surfaces each recovered key a
         // single time, and point reads agree with the scan.
@@ -245,8 +247,9 @@ TEST(BgIoStressTest, CrashMidParallelReclaimRecoversExactlyOnce)
             std::string v;
             const Status st = recovered->get(k, &v);
             if (acked_floor[k] == 0) {
-                if (st.isOk())
+                if (st.isOk()) {
                     EXPECT_GE(parseVersion(k, v), 1) << "key " << k;
+                }
                 continue;
             }
             ASSERT_TRUE(st.isOk())

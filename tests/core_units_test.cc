@@ -506,6 +506,7 @@ TEST_P(ReadBatcherTest, ConcurrentReadsAllCorrect)
         ssd->writeSync(b * 4096, block.data(), 4096);
     }
     ReadBatcher batcher(*ssd, GetParam(), 16, 50);
+    const auto before = stats::StatsRegistry::global().snapshot();
     // A completion thread, as ValueStorage runs one.
     std::atomic<bool> stop{false};
     std::thread completer([&] {
@@ -537,8 +538,11 @@ TEST_P(ReadBatcherTest, ConcurrentReadsAllCorrect)
         r.join();
     stop.store(true);
     completer.join();
-    EXPECT_EQ(batcher.requestsCoalesced(), 8u * 500);
-    EXPECT_LE(batcher.batchesSubmitted(), batcher.requestsCoalesced());
+    const auto after = stats::StatsRegistry::global().snapshot();
+    const uint64_t requests =
+        after.counterDelta(before, "prism.tcq.requests");
+    EXPECT_EQ(requests, 8u * 500);
+    EXPECT_LE(after.counterDelta(before, "prism.tcq.batches"), requests);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, ReadBatcherTest,

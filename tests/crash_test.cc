@@ -25,8 +25,9 @@
 
 #include "common/fault.h"
 #include "common/rand.h"
-#include "core/prism_db.h"
+#include "core/shard_router.h"
 #include "sim/device_profile.h"
+#include "sim/ssd_device.h"
 
 namespace prism::core {
 namespace {
@@ -76,7 +77,7 @@ struct CrashRig {
     std::shared_ptr<sim::NvmDevice> nvm;
     std::shared_ptr<pmem::PmemRegion> region;
     std::vector<std::shared_ptr<sim::SsdDevice>> ssds;
-    std::unique_ptr<PrismDb> db;
+    std::unique_ptr<ShardRouter> db;
 
     explicit CrashRig(const PrismOptions &o, int num_ssds = 2) : opts(o)
     {
@@ -88,7 +89,7 @@ struct CrashRig {
             ssds.push_back(std::make_shared<sim::SsdDevice>(
                 kSsdBytes, sim::kSamsung980ProProfile, /*timing=*/false));
         }
-        db = PrismDb::open(opts, region, ssds);
+        db = ShardRouter::open(opts, {{region, {ssds.begin(), ssds.end()}}});
     }
 
     /**
@@ -108,7 +109,7 @@ struct CrashRig {
     }
 
     /** Build a fresh store from a crash image and run recovery. */
-    std::unique_ptr<PrismDb>
+    std::unique_ptr<ShardRouter>
     recoverFromImage(const std::vector<uint8_t> &nvm_img,
                      const std::vector<std::vector<uint8_t>> &ssd_imgs,
                      std::shared_ptr<pmem::PmemRegion> *region_out = nullptr)
@@ -127,7 +128,8 @@ struct CrashRig {
         }
         if (region_out != nullptr)
             *region_out = region2;
-        return PrismDb::recover(opts, region2, ssds2);
+        return ShardRouter::recover(
+            opts, {{region2, {ssds2.begin(), ssds2.end()}}});
     }
 };
 
@@ -352,7 +354,8 @@ TEST(CrashTest, RecoveryIsIdempotent)
         d->loadFrom(img);
         ssds3.push_back(std::move(d));
     }
-    auto second = PrismDb::recover(rig.opts, region3, ssds3);
+    auto second = ShardRouter::recover(
+        rig.opts, {{region3, {ssds3.begin(), ssds3.end()}}});
     ASSERT_EQ(second->size(), 500u);
     std::string v;
     for (uint64_t k = 0; k < 500; k += 17) {
@@ -399,7 +402,8 @@ TEST(CrashTest, CrashDuringRecoveryIsIdempotent)
     fault::FaultSpec once;
     once.trigger = fault::Trigger::kOnce;
     freg.arm("db.recover.midpoint", once);
-    auto first = PrismDb::recover(rig.opts, region2, ssds2);
+    auto first = ShardRouter::recover(
+        rig.opts, {{region2, {ssds2.begin(), ssds2.end()}}});
     freg.disarmAll();
     ASSERT_FALSE(mid_img.empty()) << "recovery never hit the crash site";
     ASSERT_EQ(first->size(), kKeys);
@@ -416,7 +420,8 @@ TEST(CrashTest, CrashDuringRecoveryIsIdempotent)
         d->loadFrom(img);
         ssds3.push_back(std::move(d));
     }
-    auto second = PrismDb::recover(rig.opts, region3, ssds3);
+    auto second = ShardRouter::recover(
+        rig.opts, {{region3, {ssds3.begin(), ssds3.end()}}});
     ASSERT_EQ(second->size(), first->size());
     for (uint64_t k = 0; k < kKeys; k++) {
         std::string v1, v2;

@@ -1,11 +1,10 @@
 /**
  * @file
  * Tests for the YCSB driver plumbing (load/run phases, latency capture,
- * timeline sampling) and the PrismDb::multiGet batched-read API.
+ * timeline sampling) and the ShardRouter::multiGet batched-read API.
  */
 #include <gtest/gtest.h>
 
-#include "core/prism_db.h"
 #include "sim/device_profile.h"
 #include "ycsb/driver.h"
 #include "ycsb/stores.h"
@@ -33,7 +32,7 @@ TEST(DriverTest, LoadPhaseInsertsExactly)
     spec.value_bytes = 64;
     const ycsb::RunResult r = ycsb::loadPhase(store, spec, 3);
     EXPECT_EQ(r.ops, 4321u);
-    EXPECT_EQ(store.db().size(), 4321u);
+    EXPECT_EQ(store.router().size(), 4321u);
     EXPECT_EQ(r.overall.count(), 4321u);
     EXPECT_EQ(r.writes.count(), 4321u);
     EXPECT_EQ(r.reads.count(), 0u);
@@ -72,7 +71,7 @@ TEST(DriverTest, ValuesAreDeterministicPerKey)
 TEST(MultiGetTest, MixedHitMissBatch)
 {
     ycsb::PrismStore store(tinyFixture(), core::PrismOptions{});
-    auto &db = store.db();
+    auto &db = store.router();
     for (uint64_t k = 0; k < 3000; k++)
         ASSERT_TRUE(db.put(k * 2, "v" + std::to_string(k)).isOk());
     db.flushAll();  // spill to Value Storage
@@ -96,7 +95,7 @@ TEST(MultiGetTest, MixedHitMissBatch)
 TEST(MultiGetTest, AgreesWithSingleGets)
 {
     ycsb::PrismStore store(tinyFixture(), core::PrismOptions{});
-    auto &db = store.db();
+    auto &db = store.router();
     Xorshift rng(5);
     for (uint64_t k = 0; k < 2000; k++)
         ASSERT_TRUE(db.put(hash64(k), std::to_string(k)).isOk());
@@ -111,8 +110,9 @@ TEST(MultiGetTest, AgreesWithSingleGets)
         std::string v;
         const Status st = db.get(keys[i], &v);
         ASSERT_EQ(st.isOk(), batched[i].has_value()) << keys[i];
-        if (st.isOk())
+        if (st.isOk()) {
             ASSERT_EQ(v, *batched[i]);
+        }
     }
 }
 
@@ -121,7 +121,7 @@ TEST(MultiGetTest, ServesFromAllTiers)
     ycsb::FixtureOptions fx = tinyFixture();
     core::PrismOptions opts;
     ycsb::PrismStore store(fx, opts);
-    auto &db = store.db();
+    auto &db = store.router();
     // Tier setup: some values on SSD (flushed), some in PWB (fresh),
     // some cached in SVC (read twice).
     for (uint64_t k = 0; k < 1000; k++)

@@ -18,8 +18,9 @@
 #include "common/rand.h"
 #include "common/stats.h"
 #include "core/chunk_writer.h"
-#include "core/prism_db.h"
+#include "core/shard_router.h"
 #include "sim/device_profile.h"
+#include "sim/ssd_device.h"
 
 namespace prism::core {
 namespace {
@@ -189,7 +190,7 @@ struct Rig {
     std::shared_ptr<sim::NvmDevice> nvm;
     std::shared_ptr<pmem::PmemRegion> region;
     std::vector<std::shared_ptr<sim::SsdDevice>> ssds;
-    std::unique_ptr<PrismDb> db;
+    std::unique_ptr<ShardRouter> db;
 
     explicit Rig(const PrismOptions &o, int num_ssds) : opts(o)
     {
@@ -200,7 +201,7 @@ struct Rig {
             ssds.push_back(std::make_shared<sim::SsdDevice>(
                 kSsdBytes, sim::kSamsung980ProProfile, /*timing=*/false));
         }
-        db = PrismDb::open(opts, region, ssds);
+        db = ShardRouter::open(opts, {{region, {ssds.begin(), ssds.end()}}});
     }
 };
 
@@ -420,7 +421,7 @@ TEST(FaultTorture, CrashAtArmedPmemSiteRecoversConsistently)
         ssds.push_back(std::make_shared<sim::SsdDevice>(
             kSsdBytes, sim::kSamsung980ProProfile, false));
     }
-    auto db = PrismDb::open(opts, region, ssds);
+    auto db = ShardRouter::open(opts, {{region, {ssds.begin(), ssds.end()}}});
 
     constexpr uint64_t kKeys = 256;
     std::vector<std::atomic<uint64_t>> acked(kKeys);
@@ -473,7 +474,8 @@ TEST(FaultTorture, CrashAtArmedPmemSiteRecoversConsistently)
         d->loadFrom(img);
         ssds2.push_back(std::move(d));
     }
-    auto recovered = PrismDb::recover(opts, region2, ssds2);
+    auto recovered =
+        ShardRouter::recover(opts, {{region2, {ssds2.begin(), ssds2.end()}}});
 
     size_t present = 0;
     for (uint64_t k = 0; k < kKeys; k++) {

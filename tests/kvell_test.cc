@@ -137,8 +137,9 @@ TEST(KvellTest, FullScanRecoveryRebuildsIndexes)
         ref[key] = value;
     }
     for (uint64_t k = 0; k < 3000; k += 3) {
-        if (ref.erase(k) > 0)
+        if (ref.erase(k) > 0) {
             ASSERT_TRUE(fx.db->del(k).isOk());
+        }
     }
 
     const uint64_t ns = fx.db->recoverByFullScan();

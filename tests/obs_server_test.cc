@@ -33,9 +33,9 @@
 
 #include "common/obs_server.h"
 #include "common/stats.h"
-#include "core/prism_db.h"
 #include "core/shard_router.h"
 #include "sim/device_profile.h"
+#include "sim/ssd_device.h"
 
 namespace prism::obs {
 namespace {
@@ -124,9 +124,8 @@ struct ObsRig {
             ssds.push_back(std::make_shared<sim::SsdDevice>(
                 kSsdBytes, sim::kSamsung980ProProfile,
                 /*timing=*/false));
-        std::vector<core::ShardBackends> backends;
-        backends.push_back({region, core::PrismDb::asBackends(ssds)});
-        db = core::ShardRouter::open(opts, std::move(backends));
+        db = core::ShardRouter::open(
+            opts, {{region, {ssds.begin(), ssds.end()}}});
     }
 };
 

@@ -103,8 +103,9 @@ TEST(PacTreeTest, ForEachVisitsAllInOrder)
     size_t count = 0;
     bool first = true;
     fx.tree->forEach([&](uint64_t key, uint64_t handle) {
-        if (!first)
+        if (!first) {
             EXPECT_GT(key, prev);
+        }
         EXPECT_EQ(key, hash64(handle));
         prev = key;
         first = false;
@@ -133,8 +134,9 @@ TEST(PacTreeTest, AgreesWithReferenceUnderRandomOps)
             const auto got = fx.tree->lookup(key);
             const auto it = ref.find(key);
             ASSERT_EQ(got.has_value(), it != ref.end());
-            if (got.has_value())
+            if (got.has_value()) {
                 ASSERT_EQ(*got, it->second);
+            }
         }
     }
     EXPECT_EQ(fx.tree->size(), ref.size());

@@ -1,15 +1,17 @@
 /**
  * @file
- * Integration tests for PrismDb: basic operations, persistence across
- * restart, reclamation, cache behaviour, and concurrency.
+ * Integration tests for a single-shard store (ShardRouter over one
+ * PrismDb): basic operations, persistence across restart, reclamation,
+ * cache behaviour, and concurrency.
  */
 #include <gtest/gtest.h>
 
 #include <random>
 #include <thread>
 
-#include "core/prism_db.h"
+#include "core/shard_router.h"
 #include "sim/device_profile.h"
+#include "sim/ssd_device.h"
 
 namespace prism::core {
 namespace {
@@ -19,8 +21,9 @@ struct TestStore {
     std::shared_ptr<sim::NvmDevice> nvm;
     std::shared_ptr<pmem::PmemRegion> region;
     std::vector<std::shared_ptr<sim::SsdDevice>> ssds;
-    std::unique_ptr<PrismDb> db;
+    std::unique_ptr<ShardRouter> db;
     PrismOptions opts;
+    stats::StatsSnapshot base;  ///< registry at open(); see counter()
 
     explicit TestStore(int num_ssds = 2, bool open_now = true)
     {
@@ -38,7 +41,20 @@ struct TestStore {
                 /*model_timing=*/false));
         }
         if (open_now)
-            db = PrismDb::open(opts, region, ssds);
+            open();
+    }
+
+    std::vector<ShardBackends>
+    backends() const
+    {
+        return {{region, {ssds.begin(), ssds.end()}}};
+    }
+
+    void
+    open()
+    {
+        db = ShardRouter::open(opts, backends());
+        base = db->stats();
     }
 
     /** Orderly restart (no crash): destroy and recover on same media. */
@@ -46,7 +62,14 @@ struct TestStore {
     restart()
     {
         db.reset();
-        db = PrismDb::recover(opts, region, ssds);
+        db = ShardRouter::recover(opts, backends());
+    }
+
+    /** Change in a registry counter since open(). */
+    uint64_t
+    counter(std::string_view name) const
+    {
+        return db->stats().counterDelta(base, name);
     }
 };
 
@@ -108,7 +131,7 @@ TEST(PrismDbTest, ManyKeysSurviveReclamation)
         ASSERT_TRUE(ts.db->get(k, &v).isOk()) << k;
         EXPECT_EQ(v, valueFor(k)) << k;
     }
-    EXPECT_GT(ts.db->opStats().reclaim_passes.load(), 0u);
+    EXPECT_GT(ts.counter("prism.pwb.reclaim_passes"), 0u);
 }
 
 TEST(PrismDbTest, UpdatesDedupOnReclaim)
@@ -121,7 +144,7 @@ TEST(PrismDbTest, UpdatesDedupOnReclaim)
             ASSERT_TRUE(ts.db->put(k, valueFor(k + round)).isOk());
     }
     ts.db->flushAll();
-    EXPECT_GT(ts.db->opStats().reclaim_skipped_stale.load(), 0u);
+    EXPECT_GT(ts.counter("prism.pwb.reclaim_skipped_stale"), 0u);
     for (uint64_t k = 0; k < 100; k++) {
         std::string v;
         ASSERT_TRUE(ts.db->get(k, &v).isOk());
@@ -150,7 +173,7 @@ TEST(PrismDbTest, ScanAfterReclaimReadsFromSsd)
     // serving these values from DRAM, and this test pins the SSD path.
     TestStore ts(2, /*open_now=*/false);
     ts.opts.enable_svc = false;
-    ts.db = PrismDb::open(ts.opts, ts.region, ts.ssds);
+    ts.open();
     for (uint64_t k = 0; k < 5000; k++)
         ASSERT_TRUE(ts.db->put(k, valueFor(k)).isOk());
     ts.db->flushAll();  // everything to Value Storage
@@ -159,7 +182,7 @@ TEST(PrismDbTest, ScanAfterReclaimReadsFromSsd)
     ASSERT_EQ(out.size(), 50u);
     for (const auto &[k, v] : out)
         EXPECT_EQ(v, valueFor(k));
-    EXPECT_GT(ts.db->opStats().vs_reads.load(), 0u);
+    EXPECT_GT(ts.counter("prism.get.vs_reads"), 0u);
 }
 
 TEST(PrismDbTest, RestartRecoversData)
@@ -216,7 +239,7 @@ TEST(PrismDbTest, SvcServesRepeatedReads)
     ASSERT_TRUE(ts.db->get(77, &v).isOk());   // SSD read + admission
     ASSERT_TRUE(ts.db->get(77, &v).isOk());   // should hit the SVC
     EXPECT_EQ(v, valueFor(77));
-    EXPECT_GT(ts.db->svcStats().hits.load(), 0u);
+    EXPECT_GT(ts.counter("prism.svc.hits"), 0u);
 }
 
 TEST(PrismDbTest, SvcNeverServesStaleAfterUpdate)
@@ -325,16 +348,17 @@ TEST(PrismDbTest, DetectsCorruptedSsdRecord)
     // byte; corruption detection lives on the device read path.
     TestStore ts(1, /*open_now=*/false);
     ts.opts.enable_svc = false;
-    ts.db = PrismDb::open(ts.opts, ts.region, ts.ssds);
+    ts.open();
     for (uint64_t k = 0; k < 2000; k++)
         ASSERT_TRUE(ts.db->put(k, valueFor(k)).isOk());
     ts.db->flushAll();
 
     // Locate a value on SSD through the store's own metadata and flip a
     // payload byte directly on the device.
-    const auto h = ts.db->keyIndex().lookup(123);
+    PrismDb &shard = ts.db->shard(0);
+    const auto h = shard.keyIndex().lookup(123);
     ASSERT_TRUE(h.has_value());
-    const core::ValueAddr addr = ts.db->hsit().loadPrimary(*h);
+    const core::ValueAddr addr = shard.hsit().loadPrimary(*h);
     ASSERT_TRUE(addr.isVs());
     uint8_t byte;
     const uint64_t victim_off =
@@ -358,10 +382,10 @@ TEST(PrismDbTest, StatsAccounting)
     std::string v;
     for (uint64_t k = 0; k < 100; k++)
         ASSERT_TRUE(ts.db->get(k, &v).isOk());
-    EXPECT_EQ(ts.db->opStats().puts.load(), 100u);
-    EXPECT_EQ(ts.db->opStats().gets.load(), 100u);
+    EXPECT_EQ(ts.counter("prism.puts"), 100u);
+    EXPECT_EQ(ts.counter("prism.gets"), 100u);
     // All values still in PWB: reads are NVM hits.
-    EXPECT_EQ(ts.db->opStats().pwb_hits.load(), 100u);
+    EXPECT_EQ(ts.counter("prism.get.pwb_hits"), 100u);
     EXPECT_GT(ts.db->nvmIndexBytes(), 0u);
 }
 

@@ -2,7 +2,7 @@
  * @file
  * Property-based sweeps (parameterized gtest):
  *
- *  - Differential testing: PrismDb must agree with a reference
+ *  - Differential testing: the store must agree with a reference
  *    std::map under long random operation sequences, across a matrix
  *    of configurations (chunk size, PWB size, SVC capacity, batching
  *    mode) so every placement/reclaim/eviction path gets exercised.
@@ -15,8 +15,9 @@
 #include <map>
 
 #include "common/rand.h"
-#include "core/prism_db.h"
+#include "core/shard_router.h"
 #include "sim/device_profile.h"
+#include "sim/ssd_device.h"
 #include "ycsb/trace.h"
 
 namespace prism::core {
@@ -64,7 +65,7 @@ struct Rig {
     std::shared_ptr<sim::NvmDevice> nvm;
     std::shared_ptr<pmem::PmemRegion> region;
     std::vector<std::shared_ptr<sim::SsdDevice>> ssds;
-    std::unique_ptr<PrismDb> db;
+    std::unique_ptr<ShardRouter> db;
 
     explicit Rig(const PrismOptions &opts, bool tracking = false)
     {
@@ -77,7 +78,7 @@ struct Rig {
             ssds.push_back(std::make_shared<sim::SsdDevice>(
                 96ull << 20, sim::kSamsung980ProProfile, false));
         }
-        db = PrismDb::open(opts, region, ssds);
+        db = ShardRouter::open(opts, {{region, {ssds.begin(), ssds.end()}}});
     }
 };
 
@@ -179,7 +180,8 @@ TEST_P(ConfigMatrixTest, DurableAtRandomCrashPoints)
             d->loadFrom(img);
             ssds2.push_back(std::move(d));
         }
-        auto recovered = PrismDb::recover(opts, region2, ssds2);
+        auto recovered = ShardRouter::recover(
+            opts, {{region2, {ssds2.begin(), ssds2.end()}}});
         ASSERT_EQ(recovered->size(), committed.size()) << "op " << i;
         for (const auto &[k, ver] : committed) {
             std::string v;
@@ -264,7 +266,7 @@ TEST(TraceTest, ReplayProducesSameStateAsLiveRun)
         }
     }
     struct Adapter : ycsb::KvStore {
-        PrismDb *db;
+        ShardRouter *db;
         std::string name() const override { return "rig"; }
         Status put(uint64_t k, std::string_view v) override {
             return db->put(k, v);
@@ -292,8 +294,9 @@ TEST(TraceTest, ReplayProducesSameStateAsLiveRun)
         const Status sa = a.db->get(key, &va);
         const Status sb = b.db->get(key, &vb);
         ASSERT_EQ(sa.isOk(), sb.isOk()) << key;
-        if (sa.isOk())
+        if (sa.isOk()) {
             ASSERT_EQ(va, vb);
+        }
     }
 }
 

@@ -120,6 +120,7 @@ TEST(SvcTest, CapacityPressureEvicts)
 {
     SvcFixture fx(64 * 1024);  // tiny cache
     const std::string value(1000, 'e');
+    const auto before = stats::StatsRegistry::global().snapshot();
     std::vector<std::pair<uint64_t, ValueAddr>> items;
     for (uint64_t k = 0; k < 200; k++) {
         items.push_back(fx.publishOnSsd(k, value));
@@ -130,7 +131,9 @@ TEST(SvcTest, CapacityPressureEvicts)
     }
     fx.svc->drainForTest();
     EXPECT_LE(fx.svc->usedBytes(), 2 * 64 * 1024u);
-    EXPECT_GT(fx.svc->stats().evictions.load(), 100u);
+    EXPECT_GT(stats::StatsRegistry::global().snapshot().counterDelta(
+                  before, "prism.svc.evictions"),
+              100u);
     // The most recently admitted entries are the ones that survive.
     EpochGuard guard(fx.epochs);
     std::string out;
@@ -188,6 +191,7 @@ TEST(SvcTest, ScanChainReorganisesOnEviction)
 {
     SvcFixture fx(128 * 1024, /*scan_reorg=*/true);
     const std::string value(600, 's');
+    const auto before = stats::StatsRegistry::global().snapshot();
     // Publish a scattered key range, admit it, and declare it one scan.
     std::vector<std::pair<uint64_t, ValueAddr>> range;
     std::vector<uint64_t> chain;
@@ -214,8 +218,9 @@ TEST(SvcTest, ScanChainReorganisesOnEviction)
             fx.svc->drainForTest();
     }
     fx.svc->drainForTest();
-    EXPECT_GT(fx.svc->stats().scan_reorgs.load(), 0u);
-    EXPECT_GT(fx.svc->stats().reorged_values.load(), 1u);
+    const auto after = stats::StatsRegistry::global().snapshot();
+    EXPECT_GT(after.counterDelta(before, "prism.svc.scan_reorgs"), 0u);
+    EXPECT_GT(after.counterDelta(before, "prism.svc.reorged_values"), 1u);
 
     // Reorganised values must still resolve and be contiguous-ish:
     // at least one pair of key-adjacent values now sits adjacent on

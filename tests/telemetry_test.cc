@@ -139,9 +139,11 @@ TEST_F(TelemetryTest, WindowDeltasAndRatesAreExactUnderFakeClock)
     ASSERT_NE(hp, nullptr);
     EXPECT_EQ(hp->count, 2u);
     EXPECT_DOUBLE_EQ(hp->mean, 6.0);
-    for (const auto &h : w2.hists)
-        if (h.name == "test.tel.rate.lat")
+    for (const auto &h : w2.hists) {
+        if (h.name == "test.tel.rate.lat") {
             EXPECT_EQ(h.count, 0u);  // nothing recorded in window 2
+        }
+    }
 }
 
 TEST_F(TelemetryTest, StartStopIsIdempotent)
@@ -201,7 +203,7 @@ TEST_F(TelemetryTest, LayerAttributionIsBoundedByWallClockTimesThreads)
                     PRISM_TRACE_SPAN("pwb.test_inner");
                     volatile uint64_t sink = 0;
                     for (int i = 0; i < 2000; i++)
-                        sink += i;
+                        sink = sink + i;
                 }
             }
         });
@@ -340,7 +342,7 @@ TEST_F(TelemetryTest, Fig17PhasesAppearAsRateChangesInThreeLayers)
     fx.expected_threads = 2;
 
     core::PrismOptions opts;
-    opts.telemetry_interval_ms = 5;  // exercise the PrismDb wiring
+    opts.telemetry_interval_ms = 5;  // exercise the router's wiring
     opts.telemetry_windows = 512;
 
     {
@@ -360,7 +362,7 @@ TEST_F(TelemetryTest, Fig17PhasesAppearAsRateChangesInThreeLayers)
         while (std::chrono::steady_clock::now() < burst_end)
             store.put(key++ % 4096, value);
         store.flushAll();
-        store.db().forceGc();
+        store.router().forceGc();
 
         // Phase 3: idle again.
         std::this_thread::sleep_for(std::chrono::milliseconds(30));
@@ -396,7 +398,7 @@ TEST_F(TelemetryTest, Fig17PhasesAppearAsRateChangesInThreeLayers)
     layers_with_phases += phased({"prism.bg.tasks"});           // bg
     EXPECT_GE(layers_with_phases, 3);
 
-    // The PrismDb occupancy probe published its gauges into samples.
+    // The router's occupancy probe published its gauges into samples.
     bool saw_svc_capacity = false;
     for (const auto &w : series)
         saw_svc_capacity |= w.gauge("prism.svc.capacity_bytes") > 0;

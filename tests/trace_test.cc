@@ -238,8 +238,9 @@ TEST(TraceRingTest, WraparoundKeepsNewestEvents)
         EXPECT_EQ(evs.back().arg1, kEvents - 1);
         for (size_t i = 0; i < evs.size(); i++) {
             EXPECT_GE(evs[i].arg1, kEvents - 64);
-            if (i > 0)
+            if (i > 0) {
                 EXPECT_GT(evs[i].arg1, evs[i - 1].arg1);
+            }
         }
     });
     reg.setEnabled(false);
@@ -440,8 +441,9 @@ TEST(SlowOpTest, CaptureTriggersAtThresholdAndKeepsWorst)
     for (size_t i = 0; i < ops.size(); i++) {
         EXPECT_EQ(ops[i].op, "test.slow_op");
         EXPECT_GE(ops[i].dur_ns, 5000ull * 1000);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_LE(ops[i].dur_ns, ops[i - 1].dur_ns);  // worst first
+        }
         // The subtree holds the root span plus its child.
         ASSERT_GE(ops[i].events.size(), 2u);
         EXPECT_EQ(ops[i].events[0].name_id, op_id);
