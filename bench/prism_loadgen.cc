@@ -29,6 +29,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -136,6 +137,8 @@ void
 runWorker(const Config &cfg, int worker_id, uint64_t deadline_ns,
           WorkerResult *res)
 {
+    // The default 50 us timer slack would make every timed wake late.
+    ::prctl(PR_SET_TIMERSLACK, 1UL);
     const int fd = dialServer(cfg);
     if (fd < 0) {
         std::fprintf(stderr, "loadgen: connect to %s:%d failed: %s\n",
@@ -242,20 +245,21 @@ runWorker(const Config &cfg, int worker_id, uint64_t deadline_ns,
             }
         }
 
-        if (inflight.empty())
-            continue;
+        if (done_sending && inflight.empty())
+            break;
+        // Sleep until a reply arrives or the next arrival is due, to the
+        // nanosecond: a whole-millisecond timeout truncates to 0 (a busy
+        // poll) whenever the next send is under 1 ms away.
         pollfd pfd{fd, POLLIN, 0};
         if (out_sent < out.size())
             pfd.events |= POLLOUT;
-        int timeout_ms = 100;
+        uint64_t wait_ns = 100'000'000;
         if (!cfg.load && cfg.rate > 0 && !done_sending &&
-            inflight.size() < static_cast<size_t>(cfg.pipeline)) {
-            const uint64_t next_in =
-                sched_ns > now ? (sched_ns - now) / 1000000ull : 0;
-            timeout_ms = static_cast<int>(
-                std::min<uint64_t>(next_in, 100));
-        }
-        if (::poll(&pfd, 1, timeout_ms) < 0 && errno != EINTR) {
+            inflight.size() < static_cast<size_t>(cfg.pipeline))
+            wait_ns = std::min(wait_ns, sched_ns > now ? sched_ns - now : 0);
+        const timespec timeout{static_cast<time_t>(wait_ns / 1'000'000'000),
+                               static_cast<long>(wait_ns % 1'000'000'000)};
+        if (::ppoll(&pfd, 1, &timeout, nullptr) < 0 && errno != EINTR) {
             res->errors++;
             break;
         }

@@ -5,8 +5,8 @@
  * Uses the SSE4.2 crc32 instruction when available, otherwise a
  * slice-by-1 table. Records written to Value Storage carry a checksum
  * over header identity + payload so that torn or misdirected SSD
- * reads are detected rather than served (readValue / GC / recovery
- * verify it).
+ * reads are detected rather than served (Value Storage reads, GC and
+ * recovery verify it).
  */
 #pragma once
 

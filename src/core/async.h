@@ -16,20 +16,24 @@
  *     ├─ synchronous prefix: index /
  *     │  HSIT / SVC / PWB under an
  *     │  EpochGuard; may complete here
- *     └─ SSD miss path: submit a tagged
- *        read, return the future   ───▶   device completion arrives
+ *     └─ SSD miss path: enqueue the
+ *        read on the VS read queue
+ *        (core/read_batcher.h), return
+ *        the future                  ───▶   device completion arrives
  *                                         ├─ AsyncIoHandler::onIoComplete
  *                                         ├─ validate + publish to SVC
  *                                         └─ AsyncOpState::complete()
  *   future.wait() / future.ready()  ◀──   (futex wake + user callback)
  *
- * The blocking API is the degenerate case: put()/get()/del() run the same
- * implementation and wait the future before returning.
+ * The blocking API is the degenerate case: get() runs the same code on a
+ * state on its own stack and waits for it; put() and del() never wait
+ * for a device, so their async forms complete before returning.
  *
  * Threading contract: the user callback (when set) runs on whichever
  * thread completes the operation — the *caller* thread when the op
  * finishes in its synchronous prefix (NVM hit, SVC hit, immediate error),
- * a Value Storage completion thread or background worker otherwise. Keep
+ * otherwise a Value Storage completion thread, a background worker, or
+ * the thread whose device submission rejected the op's read. Keep
  * callbacks short and non-blocking; they run inside the completion loop
  * that services every other in-flight I/O on that SSD.
  */
@@ -53,10 +57,13 @@ using AsyncCallback = std::function<void(const Status &)>;
 /**
  * Result slot shared between the issuing thread and whichever thread
  * completes the operation. `done` is the publication flag: complete()
- * release-stores it after filling every other field, so a ready()
- * observer may read them without further synchronisation.
+ * sets it to kDone with release order after filling every other field,
+ * so a ready() observer may read them without further synchronisation.
  */
 struct AsyncOpState {
+    static constexpr uint32_t kDone = 1;
+    static constexpr uint32_t kSleeper = 2;  ///< running; a waiter sleeps
+
     std::atomic<uint32_t> done{0};
     Status status;
     std::string value;  ///< asyncGet result
@@ -67,23 +74,34 @@ struct AsyncOpState {
     complete(Status st)
     {
         status = std::move(st);
-        done.store(1, std::memory_order_release);
-        done.notify_all();
-        if (callback)
+        // A blocking get's state lives on its waiter's stack and may be
+        // gone once `done` is set; only a state with a callback is heap
+        // state that its completer still owns.
+        const bool has_callback = static_cast<bool>(callback);
+        // Notify only a sleeper: most ops complete with nobody waiting
+        // (inline hits, callback-driven callers), and a notify makes a
+        // futex call whenever any thread sleeps on an address that
+        // shares its wait bucket.
+        if (done.exchange(kDone, std::memory_order_acq_rel) == kSleeper)
+            done.notify_all();
+        if (has_callback)
             callback(status);
     }
 
     bool
     ready() const
     {
-        return done.load(std::memory_order_acquire) != 0;
+        return done.load(std::memory_order_acquire) == kDone;
     }
 
     void
-    wait() const
+    wait()
     {
-        while (done.load(std::memory_order_acquire) == 0)
-            done.wait(0, std::memory_order_acquire);
+        uint32_t running = 0;
+        done.compare_exchange_strong(running, kSleeper,
+                                     std::memory_order_acquire);
+        while (done.load(std::memory_order_acquire) != kDone)
+            done.wait(kSleeper, std::memory_order_acquire);
     }
 };
 
@@ -136,26 +154,21 @@ class OpFuture {
 };
 
 /**
- * Completion-side dispatch hook between the io::IoBackend completion
- * stream and the async API.
+ * The device-completion contract of every Value Storage request: its
+ * user_data is an AsyncIoHandler*, and the VS completion loop calls
+ * onIoComplete(status) on its own thread for each completion, with no
+ * other decoding. The handlers are the queued read
+ * (ReadBatcher::Read, core/read_batcher.h), which owns the retry policy
+ * and then calls its owner — an async get, or one read of a scan or
+ * multiGet — and the chunk-write ticket (WriteTicket,
+ * core/value_storage.h).
  *
- * user_data tagging on device requests (pointers are 8-byte aligned, so
- * the low three bits are free):
- *   - bit 0 set: ReadWaiter of a chunk-write ticket (value_storage.cc)
- *   - bit 1 set: AsyncIoHandler* — the VS completion loop strips the tag
- *     and calls onIoComplete(status) on its own thread
- *   - untagged:  ReadWaiter of a blocking batched read (read_batcher.cc)
- *
- * onIoComplete owns the continuation: it may resubmit the I/O (transient
- * error retry), restart the lookup (the record moved mid-flight), or
- * finish the op. The handler frees itself when the op leaves the device.
+ * onIoComplete owns the continuation: it may resubmit the I/O, restart
+ * the lookup (the record moved mid-flight), or finish the op, and it may
+ * free the handler.
  */
 class AsyncIoHandler {
   public:
-    static constexpr uint64_t kTag = 2;
-    /** Mask clearing every low tag bit before the pointer cast. */
-    static constexpr uint64_t kTagMask = 7;
-
     virtual ~AsyncIoHandler() = default;
     virtual void onIoComplete(const Status &st) = 0;
 };

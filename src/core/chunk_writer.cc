@@ -34,8 +34,8 @@ ChunkWriter::ChunkWriter(std::vector<ValueStorage *> targets, uint64_t seed,
 
 ChunkWriter::~ChunkWriter()
 {
-    // A writer abandoned before finish() must still drain its I/O so the
-    // tickets' waiters are not dangling.
+    // A writer abandoned before finish() must still drain its I/O, so
+    // that no completion names a freed ticket.
     if (!finished_)
         (void)finish();
 }
@@ -146,7 +146,7 @@ ChunkWriter::reapFront(bool block)
         f.ticket->reset();
         const Status st = submitTicketed(f);
         if (!st.isOk()) {
-            f.ticket->waiter.signal(ReadWaiter::kIoError);
+            f.ticket->onIoComplete(st);
             break;
         }
         f.ticket->wait();
@@ -269,7 +269,7 @@ ChunkWriter::submitTicketed(InFlight &f)
     if (PRISM_FAULT_POINT("pwb.chunk_write")) {
         // Task-level injected failure: the ticket resolves as an I/O
         // error without reaching the device; the retry path resubmits.
-        f.ticket->waiter.signal(ReadWaiter::kIoError);
+        f.ticket->onIoComplete(Status::ioError("injected chunk write"));
         return Status::ok();
     }
     return f.vs->submitChunkWrite(f.chunk, f.buf.get(), f.used,

@@ -26,7 +26,8 @@ enum class ReadBatchMode {
     /** Timeout-based batching: wait up to a fixed period for more
      *  requests before submitting (the paper's "TA" comparison point). */
     kTimeoutAsync,
-    /** No batching: each read is submitted alone (queue depth 1). */
+    /** No combining: a lone read is submitted alone, and a multiGet's or
+     *  scan's reads of one SSD only with each other. */
     kNone,
 };
 

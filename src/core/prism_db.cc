@@ -22,33 +22,77 @@ using pmem::POff;
 
 namespace {
 
-/**
- * Wait out a raw batched-read completion; an errored completion
- * (injected fault) is retried by resubmitting the same request with
- * capped backoff. Reads are idempotent, so a retry is always safe.
- */
-Status
-waitReadRetrying(io::IoBackend &dev, const io::IoRequest &req,
-                 ReadWaiter &waiter, stats::Counter *retries)
+/** Async get: re-lookups after the record moved mid-flight. */
+constexpr int kAsyncLookupRetries = 8;
+
+/** Aim @p r at [offset, offset + len) of its SSD, read into @p buf. */
+void
+aimRead(ReadBatcher::Read &r, std::vector<uint8_t> &buf, uint64_t offset,
+        uint64_t len)
 {
-    constexpr int kReadRetries = 3;
-    for (int attempt = 0;; attempt++) {
-        if (waiter.waitNonzero() == ReadWaiter::kOk)
-            return Status::ok();
-        if (attempt >= kReadRetries)
-            return Status::ioError("batched read failed after retries");
-        retries->inc();
-        delayFor(20'000ull << attempt);
-        waiter.sig.store(0, std::memory_order_relaxed);
-        const Status st = dev.submit(req);
-        if (!st.isOk())
-            return st;
-    }
+    buf.resize(len);
+    r.req.offset = offset;
+    r.req.length = static_cast<uint32_t>(len);
+    r.req.buf = buf.data();
 }
 
-/** Async VS read: transient-error resubmits / mid-flight-move re-lookups. */
-constexpr int kAsyncIoRetries = 3;
-constexpr int kAsyncLookupRetries = 8;
+/**
+ * The record at @p rec (@p avail bytes readable) parses, belongs to HSIT
+ * entry @p h and passes its checksum.
+ */
+const ValueRecordHeader *
+checkedRecord(const uint8_t *rec, size_t avail, uint64_t h)
+{
+    const auto *hdr = reinterpret_cast<const ValueRecordHeader *>(rec);
+    if (sizeof(ValueRecordHeader) > avail ||
+        sizeof(ValueRecordHeader) + hdr->value_size > avail ||
+        hdr->backward != h || !recordCrcOk(*hdr, hdr + 1))
+        return nullptr;
+    return hdr;
+}
+
+/** One read of a scan or multiGet; its issuer waits for all (readAll). */
+struct GroupRead : ReadBatcher::Read {
+    uint32_t ssd = 0;
+    std::vector<uint8_t> buf;
+    Status status;
+    std::atomic<uint32_t> *pending = nullptr;
+
+    void
+    onRead(const Status &st) override
+    {
+        status = st;
+        // The issuer may free this read as soon as the count hits zero.
+        std::atomic<uint32_t> *p = pending;
+        if (p->fetch_sub(1, std::memory_order_acq_rel) == 1)
+            p->notify_all();
+    }
+};
+
+/**
+ * Enqueue @p reads, one chain per Value Storage, and block until every
+ * one has completed. Returns the first error.
+ */
+template <typename R>
+Status
+readAll(const std::vector<ValueStorage *> &vss,
+        const std::vector<std::unique_ptr<R>> &reads)
+{
+    std::atomic<uint32_t> pending{static_cast<uint32_t>(reads.size())};
+    std::vector<std::vector<ReadBatcher::Read *>> chains(vss.size());
+    for (const auto &r : reads) {
+        r->pending = &pending;
+        chains[r->ssd].push_back(r.get());
+    }
+    for (size_t i = 0; i < vss.size(); i++)
+        vss[i]->enqueueReads(chains[i]);
+    for (uint32_t n; (n = pending.load(std::memory_order_acquire)) != 0;)
+        pending.wait(n, std::memory_order_acquire);
+    for (const auto &r : reads)
+        if (!r->status.isOk())
+            return r->status;
+    return Status::ok();
+}
 
 }  // namespace
 
@@ -86,7 +130,6 @@ PrismDb::PrismDb(const PrismOptions &opts,
         &reg.counter("prism.pwb.reclaim_deferred_values", "ops");
     reg_.pwb_requeued_values =
         &reg.counter("prism.pwb.requeued_values", "ops");
-    reg_.vs_read_retries = &reg.counter("prism.vs.retries", "ops");
     reg_.pwb_stall_ns = &reg.histogram("prism.pwb.stall_ns", "ns");
 
     for (size_t i = 0; i < devices.size(); i++) {
@@ -351,82 +394,32 @@ PrismDb::put(uint64_t key, std::string_view value)
 }
 
 Status
-PrismDb::readValue(uint64_t hsit_idx, uint64_t key, ValueAddr addr,
-                   std::string *out, bool admit_to_svc)
+PrismDb::readPwb(uint64_t hsit_idx, ValueAddr addr, std::string *out)
 {
-    if (addr.isPwb()) {
-        const auto *hdr =
-            region_->as<ValueRecordHeader>(addr.offset());
-        region_->chargeRead(addr.recordBytes());
-        if (hdr->backward != hsit_idx)
-            return Status::corruption("PWB record coupling mismatch");
-        out->assign(reinterpret_cast<const char *>(hdr + 1),
-                    hdr->value_size);
-        reg_.pwb_hits->inc();
-        return Status::ok();
-    }
-
-    if (addr.ssdId() >= value_storages_.size())
-        return Status::corruption("bad SSD id in HSIT entry");
-    ValueStorage *vs = value_storages_[addr.ssdId()].get();
-    std::vector<uint8_t> buf;
-    Status st = vs->readRecord(addr, buf);
-    if (!st.isOk())
-        return st;
-    const auto *hdr =
-        reinterpret_cast<const ValueRecordHeader *>(buf.data());
-    if (sizeof(ValueRecordHeader) + hdr->value_size > buf.size() ||
-        hdr->backward != hsit_idx) {
-        return Status::corruption("Value Storage record mismatch");
-    }
-    const auto *payload = buf.data() + sizeof(ValueRecordHeader);
-    if (!recordCrcOk(*hdr, payload))
-        return Status::corruption("Value Storage record checksum");
-    out->assign(reinterpret_cast<const char *>(payload), hdr->value_size);
-    reg_.vs_reads->inc();
-    if (admit_to_svc)
-        svc_->admit(hsit_idx, key, addr, payload, hdr->value_size);
+    const auto *hdr = region_->as<ValueRecordHeader>(addr.offset());
+    region_->chargeRead(addr.recordBytes());
+    if (hdr->backward != hsit_idx)
+        return Status::corruption("PWB record coupling mismatch");
+    out->assign(reinterpret_cast<const char *>(hdr + 1), hdr->value_size);
+    reg_.pwb_hits->inc();
     return Status::ok();
-}
-
-bool
-PrismDb::getPrefix(uint64_t key, std::string *out, Status *st, uint64_t *h,
-                   ValueAddr *addr)
-{
-    const auto found = index_->lookup(key);
-    if (!found.has_value()) {
-        *st = Status::notFound();
-        return true;
-    }
-    *h = *found;
-    *addr = hsit_->loadPrimary(*h);
-    if (addr->isNull()) {
-        *st = Status::notFound();
-        return true;
-    }
-    if (svc_->lookup(*h, addr->raw(), out)) {
-        reg_.svc_hits->inc();
-        *st = Status::ok();
-        return true;
-    }
-    return false;
 }
 
 Status
 PrismDb::get(uint64_t key, std::string *value)
 {
-    // The blocking path is the degenerate async get: same prefix, but
-    // an SSD miss is resolved through the TCQ (the caller is going to
-    // block anyway, so it lends its thread to the read batcher).
+    // The blocking get is the async get plus a wait. Its state lives on
+    // this stack behind a non-owning handle, which nothing uses once the
+    // state is complete, so a get that hits the SVC or the PWB allocates
+    // nothing.
     PRISM_TRACE_OP(op_scope, "prism.get");
     reg_.gets->inc();
-    EpochGuard guard(epochs_);
-    Status st;
-    uint64_t h;
-    ValueAddr addr;
-    if (getPrefix(key, value, &st, &h, &addr))
-        return st;
-    return readValue(h, key, addr, value, /*admit_to_svc=*/true);
+    AsyncOpState state;
+    startAsyncGet(std::shared_ptr<AsyncOpState>(std::shared_ptr<void>(),
+                                                &state),
+                  value, key, /*lookup_attempts=*/0);
+    state.wait();
+    return state.status;
 }
 
 Status
@@ -461,48 +454,52 @@ PrismDb::del(uint64_t key)
 }
 
 /**
- * Heap context of one in-flight tagged Value Storage read. Its address
- * (as an AsyncIoHandler, with bit 1 set) rides the device request's
- * user_data; the VS completion loop strips the tag and calls
- * onIoComplete, which forwards here. The context owns the read buffer,
- * so nothing on any caller's stack is referenced while the I/O flies.
+ * One get's Value Storage read in flight, blocking or async: a queued
+ * read (core/read_batcher.h) whose outcome runs onAsyncVsRead on the VS
+ * completion thread. It owns the read buffer, so nothing on any caller's
+ * stack is referenced while the I/O flies, and it counts in
+ * async_inflight_ for as long as it exists.
  */
-struct PrismDb::AsyncGetCtx final : AsyncIoHandler {
-    PrismDb *db = nullptr;
+struct PrismDb::AsyncGetCtx final : ReadBatcher::Read {
+    PrismDb *db;
     std::shared_ptr<AsyncOpState> st;
-    uint64_t key = 0;
-    uint64_t h = 0;
+    std::string *out;  ///< st->value, or a blocking caller's string
+    uint64_t key;
+    uint64_t h;
     ValueAddr addr;
+    int lookup_attempts;  ///< re-lookups after mid-flight moves so far
     std::vector<uint8_t> buf;
-    io::IoRequest io;
-    int io_attempts = 0;      ///< transient-error resubmissions so far
-    int lookup_attempts = 0;  ///< re-lookups after mid-flight moves
+
+    AsyncGetCtx(PrismDb *d, std::shared_ptr<AsyncOpState> s,
+                std::string *o, uint64_t k, uint64_t hi, ValueAddr a,
+                int attempts)
+        : db(d), st(std::move(s)), out(o), key(k), h(hi), addr(a),
+          lookup_attempts(attempts)
+    {
+        db->async_inflight_.fetch_add(1, std::memory_order_acq_rel);
+        aimRead(*this, buf, a.offset(), a.recordBytes());
+    }
+
+    ~AsyncGetCtx() override
+    {
+        db->async_inflight_.fetch_sub(1, std::memory_order_acq_rel);
+    }
 
     void
-    onIoComplete(const Status &s) override
+    onRead(const Status &s) override
     {
         db->onAsyncVsRead(this, s);
     }
 };
 
-void
-PrismDb::completeAsync(const std::shared_ptr<AsyncOpState> &st, Status s)
-{
-    st->complete(std::move(s));
-    // Release the in-flight slot only after the state is published: the
-    // destructor's drain gates teardown on this counter.
-    async_inflight_.fetch_sub(1, std::memory_order_acq_rel);
-}
-
 OpFuture
 PrismDb::asyncPut(uint64_t key, std::string_view value, AsyncCallback cb)
 {
-    auto st = std::make_shared<AsyncOpState>();
-    st->callback = std::move(cb);
-    async_inflight_.fetch_add(1, std::memory_order_acq_rel);
     // The put path is an NVM append + durable CAS (§4.3): there is no
     // device round-trip to overlap, so the future completes inline.
-    completeAsync(st, put(key, value));
+    auto st = std::make_shared<AsyncOpState>();
+    st->callback = std::move(cb);
+    st->complete(put(key, value));
     return OpFuture(std::move(st));
 }
 
@@ -511,8 +508,7 @@ PrismDb::asyncDel(uint64_t key, AsyncCallback cb)
 {
     auto st = std::make_shared<AsyncOpState>();
     st->callback = std::move(cb);
-    async_inflight_.fetch_add(1, std::memory_order_acq_rel);
-    completeAsync(st, del(key));
+    st->complete(del(key));
     return OpFuture(std::move(st));
 }
 
@@ -525,10 +521,8 @@ PrismDb::asyncGet(uint64_t key, AsyncCallback cb)
     reg_.gets->inc();
     auto st = std::make_shared<AsyncOpState>();
     st->callback = std::move(cb);
-    async_inflight_.fetch_add(1, std::memory_order_acq_rel);
-    OpFuture f(st);
-    startAsyncGet(st, key, /*lookup_attempts=*/0);
-    return f;
+    startAsyncGet(st, &st->value, key, /*lookup_attempts=*/0);
+    return OpFuture(std::move(st));
 }
 
 OpFuture
@@ -536,100 +530,67 @@ PrismDb::asyncScan(uint64_t start_key, size_t count, AsyncCallback cb)
 {
     auto st = std::make_shared<AsyncOpState>();
     st->callback = std::move(cb);
-    async_inflight_.fetch_add(1, std::memory_order_acq_rel);
     if (bg_pool_->workers() == 0) {
         // No pool (serial ablation): degenerate to a blocking scan.
-        completeAsync(st, scan(start_key, count, &st->rows));
+        st->complete(scan(start_key, count, &st->rows));
         return OpFuture(std::move(st));
     }
-    OpFuture f(st);
+    async_inflight_.fetch_add(1, std::memory_order_acq_rel);
     bg_inflight_.fetch_add(1, std::memory_order_acq_rel);
     bg_pool_->submit(bg_source_, [this, st, start_key, count] {
-        completeAsync(st, scan(start_key, count, &st->rows));
+        st->complete(scan(start_key, count, &st->rows));
+        async_inflight_.fetch_sub(1, std::memory_order_acq_rel);
         bg_inflight_.fetch_sub(1, std::memory_order_acq_rel);
     });
-    return f;
+    return OpFuture(std::move(st));
 }
 
 void
 PrismDb::startAsyncGet(const std::shared_ptr<AsyncOpState> &st,
-                       uint64_t key, int lookup_attempts)
+                       std::string *out, uint64_t key, int lookup_attempts)
 {
     Status s;
-    bool done = false;
+    AsyncGetCtx *ctx = nullptr;
     {
         EpochGuard guard(epochs_);
-        uint64_t h;
-        ValueAddr addr;
-        if (getPrefix(key, &st->value, &s, &h, &addr)) {
-            done = true;
-        } else if (addr.isPwb()) {
-            // NVM-resident: nothing to overlap; serve it inline.
-            s = readValue(h, key, addr, &st->value, /*admit_to_svc=*/true);
-            done = true;
-        } else if (addr.ssdId() >= value_storages_.size()) {
+        const auto found = index_->lookup(key);
+        const uint64_t h = found.value_or(0);
+        const ValueAddr addr =
+            found.has_value() ? hsit_->loadPrimary(h) : ValueAddr();
+        if (addr.isNull())
+            s = Status::notFound();
+        else if (svc_->lookup(h, addr.raw(), out))
+            reg_.svc_hits->inc();
+        else if (addr.isPwb())
+            s = readPwb(h, addr, out);  // NVM: nothing to overlap
+        else if (addr.ssdId() >= value_storages_.size())
             s = Status::corruption("bad SSD id in HSIT entry");
-            done = true;
-        } else {
-            // SSD-resident: tagged read with *no epoch held across the
-            // flight* — pinning an epoch per in-flight op would stall
-            // every reclaimer behind the slowest I/O. Safety comes from
-            // the completion-side re-validation instead (onAsyncVsRead).
-            auto *ctx = new AsyncGetCtx;
-            ctx->db = this;
-            ctx->st = st;
-            ctx->key = key;
-            ctx->h = h;
-            ctx->addr = addr;
-            ctx->lookup_attempts = lookup_attempts;
-            ctx->buf.resize(addr.recordBytes());
-            ctx->io.op = io::IoRequest::Op::kRead;
-            ctx->io.offset = addr.offset();
-            ctx->io.length = static_cast<uint32_t>(ctx->buf.size());
-            ctx->io.buf = ctx->buf.data();
-            ctx->io.user_data =
-                reinterpret_cast<uint64_t>(
-                    static_cast<AsyncIoHandler *>(ctx)) |
-                AsyncIoHandler::kTag;
-            s = value_storages_[addr.ssdId()]->device().submit(ctx->io);
-            if (!s.isOk()) {
-                delete ctx;
-                done = true;
-            }
-        }
+        else
+            ctx = new AsyncGetCtx(this, st, out, key, h, addr,
+                                  lookup_attempts);
     }
     // Complete outside the epoch guard: the user callback must not run
     // inside a read-side critical section.
-    if (done)
-        completeAsync(st, s);
+    if (ctx == nullptr) {
+        st->complete(std::move(s));
+        return;
+    }
+    // SSD-resident: queue the read with *no epoch held across the
+    // flight* — pinning an epoch per in-flight op would stall every
+    // reclaimer behind the slowest I/O. Safety comes from the
+    // completion-side re-validation instead (onAsyncVsRead).
+    ReadBatcher::Read *read = ctx;
+    value_storages_[ctx->addr.ssdId()]->enqueueReads({&read, 1});
 }
 
 void
 PrismDb::onAsyncVsRead(AsyncGetCtx *ctx, const Status &io_st)
 {
     if (!io_st.isOk()) {
-        // Transient I/O error (injected fault / device hiccup): reads
-        // are idempotent, so resubmit with the sync path's backoff. The
-        // wait briefly stalls this completion loop; errors are rare
-        // enough that simplicity wins over a timer wheel.
-        if (io_st.code() == StatusCode::kIoError &&
-            ctx->io_attempts < kAsyncIoRetries) {
-            ctx->io_attempts++;
-            reg_.vs_read_retries->inc();
-            delayFor(20'000ull << (ctx->io_attempts - 1));
-            const Status sub =
-                value_storages_[ctx->addr.ssdId()]->device().submit(
-                    ctx->io);
-            if (sub.isOk())
-                return;  // the retry's completion re-enters here
-            completeAsync(ctx->st, sub);
-        } else {
-            completeAsync(ctx->st, io_st);
-        }
+        ctx->st->complete(io_st);  // the read queue's retries ran out
         delete ctx;
         return;
     }
-
     bool published = false;
     {
         // The flight held no epoch, so the record may have been
@@ -639,16 +600,12 @@ PrismDb::onAsyncVsRead(AsyncGetCtx *ctx, const Status &io_st)
         // HSIT must still point at the exact address we read; otherwise
         // nothing is published and the lookup is retried.
         EpochGuard guard(epochs_);
-        const auto *hdr = reinterpret_cast<const ValueRecordHeader *>(
-            ctx->buf.data());
-        const auto *payload = ctx->buf.data() + sizeof(ValueRecordHeader);
-        const bool parse_ok =
-            sizeof(ValueRecordHeader) + hdr->value_size <=
-                ctx->buf.size() &&
-            hdr->backward == ctx->h && recordCrcOk(*hdr, payload);
-        if (parse_ok && hsit_->loadPrimary(ctx->h) == ctx->addr) {
-            ctx->st->value.assign(reinterpret_cast<const char *>(payload),
-                                  hdr->value_size);
+        const ValueRecordHeader *hdr =
+            checkedRecord(ctx->buf.data(), ctx->buf.size(), ctx->h);
+        if (hdr != nullptr && hsit_->loadPrimary(ctx->h) == ctx->addr) {
+            const auto *payload = reinterpret_cast<const uint8_t *>(hdr + 1);
+            ctx->out->assign(reinterpret_cast<const char *>(payload),
+                             hdr->value_size);
             reg_.vs_reads->inc();
             svc_->admit(ctx->h, ctx->key, ctx->addr, payload,
                         hdr->value_size);
@@ -656,24 +613,18 @@ PrismDb::onAsyncVsRead(AsyncGetCtx *ctx, const Status &io_st)
         }
     }
     if (published) {
-        completeAsync(ctx->st, Status::ok());
-        delete ctx;
-        return;
+        ctx->st->complete(Status::ok());
+    } else if (ctx->lookup_attempts < kAsyncLookupRetries) {
+        // The value moved mid-flight; chase it with a fresh lookup. Each
+        // round re-resolves index -> HSIT -> SVC/PWB/VS, so a value that
+        // migrated into the PWB or SVC completes inline this time. The
+        // new round counts in async_inflight_ before this one stops.
+        startAsyncGet(ctx->st, ctx->out, ctx->key,
+                      ctx->lookup_attempts + 1);
+    } else {
+        ctx->st->complete(
+            Status::corruption("async get: record kept moving"));
     }
-
-    // The value moved mid-flight; chase it with a fresh lookup. Each
-    // round re-resolves index -> HSIT -> SVC/PWB/VS, so a value that
-    // migrated into the PWB or SVC completes inline this time.
-    if (ctx->lookup_attempts < kAsyncLookupRetries) {
-        const std::shared_ptr<AsyncOpState> st = std::move(ctx->st);
-        const uint64_t key = ctx->key;
-        const int attempts = ctx->lookup_attempts + 1;
-        delete ctx;
-        startAsyncGet(st, key, attempts);
-        return;
-    }
-    completeAsync(ctx->st,
-                  Status::corruption("async get: record kept moving"));
     delete ctx;
 }
 
@@ -711,7 +662,7 @@ PrismDb::scan(uint64_t start_key, size_t count,
             continue;
         }
         if (addr.isPwb()) {
-            const Status st = readValue(h, key, addr, slot, false);
+            const Status st = readPwb(h, addr, slot);
             if (!st.isOk())
                 return st;
             continue;
@@ -729,15 +680,11 @@ PrismDb::scan(uint64_t start_key, size_t count,
                           return a.addr.ssdId() < b.addr.ssdId();
                       return a.addr.offset() < b.addr.offset();
                   });
-        struct Span {
-            uint32_t ssd;
+        struct Span : GroupRead {
             uint64_t start;
             uint64_t end;
             size_t first_req;
             size_t req_count;
-            std::vector<uint8_t> buf;
-            io::IoRequest req;  ///< kept for error-path resubmission
-            ReadWaiter waiter;
         };
         std::vector<std::unique_ptr<Span>> spans;
         for (size_t i = 0; i < vs_reqs.size(); i++) {
@@ -760,44 +707,22 @@ PrismDb::scan(uint64_t start_key, size_t count,
             s->req_count = 1;
             spans.push_back(std::move(s));
         }
-        for (auto &s : spans) {
-            s->buf.resize(s->end - s->start);
-            s->req.op = io::IoRequest::Op::kRead;
-            s->req.offset = s->start;
-            s->req.length = static_cast<uint32_t>(s->buf.size());
-            s->req.buf = s->buf.data();
-            s->req.user_data = reinterpret_cast<uint64_t>(&s->waiter);
-            const Status st =
-                value_storages_[s->ssd]->device().submit(s->req);
-            if (!st.isOk())
-                return st;
-        }
-        // Reap *every* span before acting on any error: returning with a
-        // sibling span still in flight would let its completion signal a
-        // waiter in this destroyed frame.
-        Status io_st = Status::ok();
-        for (auto &s : spans) {
-            const Status wait_st = waitReadRetrying(
-                value_storages_[s->ssd]->device(), s->req, s->waiter,
-                reg_.vs_read_retries);
-            if (io_st.isOk() && !wait_st.isOk())
-                io_st = wait_st;
-        }
+        for (auto &s : spans)
+            aimRead(*s, s->buf, s->start, s->end - s->start);
+        const Status io_st = readAll(vs_ptrs_, spans);
         if (!io_st.isOk())
             return io_st;
         for (auto &s : spans) {
             for (size_t i = s->first_req; i < s->first_req + s->req_count;
                  i++) {
                 const auto &r = vs_reqs[i];
-                const auto *hdr =
-                    reinterpret_cast<const ValueRecordHeader *>(
-                        s->buf.data() + (r.addr.offset() - s->start));
-                if (hdr->backward != r.h)
+                const uint64_t at = r.addr.offset() - s->start;
+                const ValueRecordHeader *hdr = checkedRecord(
+                    s->buf.data() + at, s->buf.size() - at, r.h);
+                if (hdr == nullptr)
                     return Status::corruption("scan record mismatch");
                 const auto *payload =
                     reinterpret_cast<const uint8_t *>(hdr + 1);
-                if (!recordCrcOk(*hdr, payload))
-                    return Status::corruption("scan record checksum");
                 (*out)[r.out_idx].second.assign(
                     reinterpret_cast<const char *>(payload),
                     hdr->value_size);
@@ -831,14 +756,11 @@ PrismDb::multiGet(const std::vector<uint64_t> &keys,
     out->assign(keys.size(), std::nullopt);
 
     // Resolve every key; serve SVC/PWB hits inline and gather the SSD
-    // residents for one batched submission per Value Storage.
-    struct VsReq {
+    // residents into one chain per Value Storage.
+    struct VsReq : GroupRead {
         size_t out_idx;
         uint64_t h;
         ValueAddr addr;
-        std::vector<uint8_t> buf;
-        io::IoRequest io;  ///< kept for error-path resubmission
-        ReadWaiter waiter;
     };
     std::vector<std::unique_ptr<VsReq>> vs_reqs;
     for (size_t i = 0; i < keys.size(); i++) {
@@ -855,7 +777,7 @@ PrismDb::multiGet(const std::vector<uint64_t> &keys,
             continue;
         }
         if (addr.isPwb()) {
-            const Status st = readValue(*h, keys[i], addr, &value, true);
+            const Status st = readPwb(*h, addr, &value);
             if (!st.isOk())
                 return st;
             (*out)[i] = std::move(value);
@@ -867,51 +789,20 @@ PrismDb::multiGet(const std::vector<uint64_t> &keys,
         req->out_idx = i;
         req->h = *h;
         req->addr = addr;
-        req->buf.resize(addr.recordBytes());
+        req->ssd = addr.ssdId();
+        aimRead(*req, req->buf, addr.offset(), addr.recordBytes());
         vs_reqs.push_back(std::move(req));
     }
 
-    // One submission per Value Storage covering all its requests.
-    for (size_t vs_id = 0; vs_id < value_storages_.size(); vs_id++) {
-        std::vector<io::IoRequest> batch;
-        for (auto &r : vs_reqs) {
-            if (r->addr.ssdId() != vs_id)
-                continue;
-            r->io.op = io::IoRequest::Op::kRead;
-            r->io.offset = r->addr.offset();
-            r->io.length = static_cast<uint32_t>(r->buf.size());
-            r->io.buf = r->buf.data();
-            r->io.user_data = reinterpret_cast<uint64_t>(&r->waiter);
-            batch.push_back(r->io);
-        }
-        if (batch.empty())
-            continue;
-        const Status st = value_storages_[vs_id]->device().submit(
-            {batch.data(), batch.size()});
-        if (!st.isOk())
-            return st;
-    }
-    // Reap every request before acting on any error (see scan()).
-    Status io_st = Status::ok();
-    for (auto &r : vs_reqs) {
-        const Status wait_st = waitReadRetrying(
-            value_storages_[r->addr.ssdId()]->device(), r->io, r->waiter,
-            reg_.vs_read_retries);
-        if (io_st.isOk() && !wait_st.isOk())
-            io_st = wait_st;
-    }
+    const Status io_st = readAll(vs_ptrs_, vs_reqs);
     if (!io_st.isOk())
         return io_st;
     for (auto &r : vs_reqs) {
-        const auto *hdr =
-            reinterpret_cast<const ValueRecordHeader *>(r->buf.data());
-        if (sizeof(ValueRecordHeader) + hdr->value_size > r->buf.size() ||
-            hdr->backward != r->h) {
+        const ValueRecordHeader *hdr =
+            checkedRecord(r->buf.data(), r->buf.size(), r->h);
+        if (hdr == nullptr)
             return Status::corruption("multiGet record mismatch");
-        }
-        const auto *payload = r->buf.data() + sizeof(ValueRecordHeader);
-        if (!recordCrcOk(*hdr, payload))
-            return Status::corruption("multiGet record checksum");
+        const auto *payload = reinterpret_cast<const uint8_t *>(hdr + 1);
         (*out)[r->out_idx].emplace(
             reinterpret_cast<const char *>(payload), hdr->value_size);
         reg_.vs_reads->inc();

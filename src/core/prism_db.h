@@ -16,9 +16,10 @@
  * Operation outlines (detail in prism_db.cc):
  *  - put: PWB append (value + backward ptr, one fence) then durable CAS
  *    of the HSIT forward pointer — the linearization point (§5.4).
- *  - get: index -> HSIT -> SVC / PWB / Value Storage (thread-combined
- *    SSD read), then SVC admission off the critical path.
- *  - scan: index range -> batched SSD reads with span merging -> SVC
+ *  - get: index -> HSIT -> SVC / PWB / Value Storage (an SSD read on
+ *    the VS read queue, core/read_batcher.h), then SVC admission off
+ *    the critical path. The blocking get is the async get plus a wait.
+ *  - scan: index range -> queued SSD reads with span merging -> SVC
  *    admission + scan-chain registration (§4.4).
  *  - del: index remove + epoch-deferred HSIT entry reclamation.
  *
@@ -117,9 +118,10 @@ class PrismDb {
 
     /**
      * Batched point lookups: out[i] holds key[i]'s value or nullopt for
-     * missing keys. All SSD-resident values are fetched with one device
-     * batch per Value Storage, amortizing submission cost — the natural
-     * API for applications with dependency-free read sets.
+     * missing keys. The SSD-resident values go to each Value Storage's
+     * read queue as one chain, submitted in batches of up to the queue
+     * depth, amortizing submission cost — the natural API for
+     * applications with dependency-free read sets.
      */
     Status multiGet(const std::vector<uint64_t> &keys,
                     std::vector<std::optional<std::string>> *out);
@@ -133,7 +135,7 @@ class PrismDb {
      * thread when its device I/O lands (or inline when no device I/O is
      * needed). One caller thread can keep hundreds of gets in flight —
      * the queue-depth-filling discipline of §5.3 without one blocked
-     * thread per read. The blocking API above is the degenerate case:
+     * thread per read. The blocking get above is the degenerate case:
      * same implementation, caller waits.
      *
      * The optional callback runs on whichever thread completes the op
@@ -151,8 +153,8 @@ class PrismDb {
 
     /**
      * Asynchronous point lookup. NVM/DRAM hits (PWB, SVC) complete
-     * inline; an SSD-resident value is fetched with a tagged device read
-     * and the future completes from the Value Storage completion thread,
+     * inline; an SSD-resident value is read through the Value Storage
+     * read queue and the future completes from the VS completion thread,
      * holding no epoch (and no caller thread) while the I/O is in
      * flight. The completion path re-validates the record against the
      * HSIT before publishing it, retrying the lookup if the value moved
@@ -171,7 +173,11 @@ class PrismDb {
     OpFuture asyncScan(uint64_t start_key, size_t count,
                        AsyncCallback cb = nullptr);
 
-    /** Async operations started but not yet completed. */
+    /**
+     * Operations that will complete off the caller's thread and have
+     * not yet: gets (blocking or async) with a Value Storage read in
+     * flight, plus async scans. The destructor waits for zero.
+     */
     uint64_t asyncInflight() const {
         return async_inflight_.load(std::memory_order_acquire);
     }
@@ -217,36 +223,25 @@ class PrismDb {
     /** Per-thread PWB, created lazily on a thread's first put. */
     Pwb *pwbForThisThread();
 
-    Status readValue(uint64_t hsit_idx, uint64_t key, ValueAddr addr,
-                     std::string *out, bool admit_to_svc);
+    /** Read a PWB-resident value (NVM; no device I/O). */
+    Status readPwb(uint64_t hsit_idx, ValueAddr addr, std::string *out);
 
     /** @name Async engine (prism_db.cc, core/async.h) */
     ///@{
-    /** In-flight tagged-read context; defined in prism_db.cc. */
+    /** A get's in-flight Value Storage read; defined in prism_db.cc. */
     struct AsyncGetCtx;
 
     /**
-     * Shared synchronous prefix of get()/asyncGet(): resolve the key and
-     * serve the SVC hit. Caller must hold an EpochGuard.
-     * @return true when the op finished (st/out are set); false with
-     *         *h and *addr filled when the value must be read (PWB/VS).
-     */
-    bool getPrefix(uint64_t key, std::string *out, Status *st, uint64_t *h,
-                   ValueAddr *addr);
-
-    /**
-     * Run one async-get round: prefix, then either complete inline or
-     * submit the tagged VS read. Re-entered from the completion thread
-     * when mid-flight relocation forces a re-lookup.
+     * Run one get round, blocking or async: index -> HSIT -> SVC / PWB
+     * under an EpochGuard, completing @p st inline, or else queue the VS
+     * read; the value lands in @p out. Re-entered from the completion
+     * thread when mid-flight relocation forces a re-lookup.
      */
     void startAsyncGet(const std::shared_ptr<AsyncOpState> &st,
-                       uint64_t key, int lookup_attempts);
+                       std::string *out, uint64_t key, int lookup_attempts);
 
-    /** Tagged-read continuation (runs on a VS completion thread). */
+    /** VS read continuation (runs on a VS completion thread). */
     void onAsyncVsRead(AsyncGetCtx *ctx, const Status &st);
-
-    /** Publish a result and release the in-flight slot. */
-    void completeAsync(const std::shared_ptr<AsyncOpState> &st, Status s);
     ///@}
 
     void reclaimerLoop();
@@ -341,14 +336,15 @@ class PrismDb {
         stats::Counter *gc_dispatches;
         stats::Counter *reclaim_deferred_values;
         stats::Counter *pwb_requeued_values;
-        stats::Counter *vs_read_retries;
         stats::LatencyStat *pwb_stall_ns;
     };
     RegMetrics reg_;
 
-    /** Async ops in flight; the destructor waits it out before teardown
-     *  (their completion paths touch the SVC, HSIT and bg pool). */
-    std::atomic<uint64_t> async_inflight_{0};
+    /** asyncInflight(); the destructor waits it out before teardown
+     *  (completion paths touch the SVC, HSIT and bg pool). Every SSD miss
+     *  writes it from two threads: a line of its own keeps that traffic
+     *  off the metric pointers every op reads. */
+    alignas(64) std::atomic<uint64_t> async_inflight_{0};
 
     uint64_t recovery_ns_ = 0;
 };

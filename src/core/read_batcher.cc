@@ -1,9 +1,17 @@
 #include "core/read_batcher.h"
 
+#include <algorithm>
+
+#include "common/clock.h"
 #include "common/logging.h"
 #include "common/spinlock.h"
 
 namespace prism::core {
+
+namespace {
+/** Resubmissions of a read that failed with a transient I/O error. */
+constexpr int kMaxRetries = 3;
+}  // namespace
 
 ReadBatcher::ReadBatcher(io::IoBackend &device, ReadBatchMode mode,
                          int queue_depth, uint64_t timeout_us)
@@ -14,6 +22,7 @@ ReadBatcher::ReadBatcher(io::IoBackend &device, ReadBatchMode mode,
     auto &reg = stats::StatsRegistry::global();
     reg_batches_ = &reg.counter("prism.tcq.batches", "ops");
     reg_requests_ = &reg.counter("prism.tcq.requests", "ops");
+    reg_retries_ = &reg.counter("prism.vs.retries", "ops");
     if (mode_ == ReadBatchMode::kTimeoutAsync)
         ta_thread_ = std::thread([this] { taLoop(); });
 }
@@ -23,159 +32,163 @@ ReadBatcher::~ReadBatcher()
     if (ta_thread_.joinable()) {
         {
             std::lock_guard<std::mutex> lock(ta_mu_);
-            stop_.store(true, std::memory_order_release);
+            stop_ = true;
         }
         ta_cv_.notify_all();
         ta_thread_.join();
     }
 }
 
-Status
-ReadBatcher::read(uint64_t offset, void *buf, uint32_t len)
+void
+ReadBatcher::enqueue(std::span<Read *const> reads)
 {
-    Node node;
-    node.req.op = io::IoRequest::Op::kRead;
-    node.req.offset = offset;
-    node.req.length = len;
-    node.req.buf = buf;
-    node.req.user_data = reinterpret_cast<uint64_t>(&node.waiter);
-
+    if (reads.empty())
+        return;
+    for (size_t i = 0; i < reads.size(); i++) {
+        Read *r = reads[i];
+        r->queue = this;
+        r->req.op = io::IoRequest::Op::kRead;
+        r->req.user_data = reinterpret_cast<uint64_t>(
+            static_cast<AsyncIoHandler *>(r));
+        r->next.store(i + 1 < reads.size() ? reads[i + 1] : nullptr,
+                      std::memory_order_relaxed);
+    }
     switch (mode_) {
-      case ReadBatchMode::kThreadCombining:
-        return readThreadCombining(node);
-      case ReadBatchMode::kTimeoutAsync:
-        return readTimeoutAsync(node);
+      case ReadBatchMode::kThreadCombining: {
+        // Append the chain with one swap on the TCQ tail (Fig. 5, steps
+        // 1-2). Finding the queue empty makes this issuer the leader;
+        // otherwise the leader in charge takes the chain when it walks
+        // past the predecessor.
+        Read *first = reads.front();
+        Read *prev = tail_.exchange(reads.back(), std::memory_order_acq_rel);
+        if (prev == nullptr)
+            lead(first);
+        else
+            prev->next.store(first, std::memory_order_release);
+        return;
+      }
+      case ReadBatchMode::kTimeoutAsync: {
+        {
+            std::lock_guard<std::mutex> lock(ta_mu_);
+            ta_pending_.insert(ta_pending_.end(), reads.begin(),
+                               reads.end());
+        }
+        ta_cv_.notify_one();
+        return;
+      }
       case ReadBatchMode::kNone:
-        return readUnbatched(node);
+        lead(reads.front());  // the issuer's own reads only
+        return;
     }
-    return Status::notSupported();
 }
 
-Status
-ReadBatcher::readUnbatched(Node &node)
-{
-    Status s = device_.submit(node.req);
-    if (!s.isOk())
-        return s;
-    reg_batches_->inc();
-    reg_requests_->inc();
-    return node.waiter.waitNonzero() == ReadWaiter::kOk
-               ? Status::ok()
-               : Status::ioError("read completion error");
-}
-
-Status
-ReadBatcher::readThreadCombining(Node &node)
-{
-    // Enqueue with an atomic swap on the TCQ tail (Fig. 5, step 1/2).
-    Node *prev = tail_.exchange(&node, std::memory_order_acq_rel);
-    if (prev == nullptr) {
-        // Queue was empty: this thread is the leader.
-        return leadAndSubmit(node);
-    }
-    prev->next.store(&node, std::memory_order_release);
-    // Follower: the leader coalesces our request; we only wait. If the
-    // leader hits the coalescing limit first, it promotes us to lead the
-    // remainder of the queue.
-    const uint32_t sig = node.waiter.waitNonzero();
-    if (sig == ReadWaiter::kOk)
-        return Status::ok();
-    if (sig == ReadWaiter::kIoError)
-        return Status::ioError("read completion error");
-    PRISM_DCHECK(sig == ReadWaiter::kPromoted);
-    node.waiter.sig.store(0, std::memory_order_relaxed);
-    return leadAndSubmit(node);
-}
-
-Status
-ReadBatcher::leadAndSubmit(Node &self)
+void
+ReadBatcher::lead(Read *cur)
 {
     std::vector<io::IoRequest> batch;
-    batch.reserve(static_cast<size_t>(queue_depth_));
-    batch.push_back(self.req);
-
-    Node *cur = &self;
-    while (batch.size() < static_cast<size_t>(queue_depth_)) {
-        // Try to close the queue at cur; success means no more followers.
-        Node *expected = cur;
-        if (tail_.compare_exchange_strong(expected, nullptr,
-                                          std::memory_order_acq_rel)) {
-            cur = nullptr;
-            break;
+    while (cur != nullptr) {
+        const io::IoRequest first = cur->req;
+        cur = successor(cur);
+        if (cur == nullptr || queue_depth_ == 1) {
+            submit({&first, 1});  // a lone read needs no batch buffer
+            continue;
         }
-        // A follower enqueued after cur; its next link lands momentarily.
-        Node *n;
-        int spins = 0;
-        while ((n = cur->next.load(std::memory_order_acquire)) == nullptr) {
-            if (++spins > 128) {
-                std::this_thread::yield();
-                spins = 0;
-            } else {
-                cpuRelax();
-            }
-        }
-        batch.push_back(n->req);
-        cur = n;
+        batch.assign(1, first);
+        do {
+            batch.push_back(cur->req);
+            cur = successor(cur);
+        } while (cur != nullptr &&
+                 batch.size() < static_cast<size_t>(queue_depth_));
+        submit(batch);
     }
-
-    if (cur != nullptr) {
-        // Coalescing limit reached with the queue still open: hand the
-        // remainder to the next node (before submitting, so its frame is
-        // guaranteed alive).
-        Node *expected = cur;
-        if (!tail_.compare_exchange_strong(expected, nullptr,
-                                           std::memory_order_acq_rel)) {
-            Node *n;
-            int spins = 0;
-            while ((n = cur->next.load(std::memory_order_acquire)) ==
-                   nullptr) {
-                if (++spins > 128) {
-                    std::this_thread::yield();
-                    spins = 0;
-                } else {
-                    cpuRelax();
-                }
-            }
-            n->waiter.signal(2);
-        }
-    }
-
-    Status s = device_.submit({batch.data(), batch.size()});
-    if (!s.isOk())
-        return s;
-    reg_batches_->inc();
-    reg_requests_->add(batch.size());
-
-    // Followers return as soon as their completion arrives (delivered by
-    // the Value Storage completion thread); the leader waits its own.
-    return self.waiter.waitNonzero() == ReadWaiter::kOk
-               ? Status::ok()
-               : Status::ioError("read completion error");
 }
 
-Status
-ReadBatcher::readTimeoutAsync(Node &node)
+ReadBatcher::Read *
+ReadBatcher::successor(Read *r)
 {
-    {
-        std::lock_guard<std::mutex> lock(ta_mu_);
-        ta_pending_.push_back(&node);
+    Read *n = r->next.load(std::memory_order_acquire);
+    if (n != nullptr || mode_ == ReadBatchMode::kNone)
+        return n;
+    Read *expected = r;
+    if (tail_.compare_exchange_strong(expected, nullptr,
+                                      std::memory_order_acq_rel))
+        return nullptr;
+    // An issuer swapped itself in behind r; its link lands momentarily.
+    int spins = 0;
+    while ((n = r->next.load(std::memory_order_acquire)) == nullptr) {
+        if (++spins > 128) {
+            std::this_thread::yield();
+            spins = 0;
+        } else {
+            cpuRelax();
+        }
     }
-    ta_cv_.notify_one();
-    return node.waiter.waitNonzero() == ReadWaiter::kOk
-               ? Status::ok()
-               : Status::ioError("read completion error");
+    return n;
+}
+
+void
+ReadBatcher::submit(std::span<const io::IoRequest> batch)
+{
+    // Count before submitting, so that whoever sees a read complete also
+    // sees it counted; a batch the device rejects counts as well.
+    reg_batches_->inc();
+    reg_requests_->add(batch.size());
+    const Status st = device_.submit(batch);
+    if (st.isOk())
+        return;
+    // The device rejects a whole batch for one malformed request
+    // (io/io_backend.h): resubmit the requests alone so that only the
+    // bad one fails.
+    if (batch.size() > 1) {
+        for (const io::IoRequest &req : batch)
+            submit({&req, 1});
+        return;
+    }
+    reinterpret_cast<AsyncIoHandler *>(batch[0].user_data)
+        ->onIoComplete(st);
+}
+
+void
+ReadBatcher::complete(Read &r, const Status &st)
+{
+    const bool retry =
+        st.code() == StatusCode::kIoError && r.retries < kMaxRetries;
+    Read *next = nullptr;
+    if (retry || r.retries > 0) {
+        std::lock_guard<std::mutex> lock(retry_mu_);
+        if (r.retries > 0)
+            retry_busy_ = false;  // r was the retry in flight
+        if (retry && r.retries > 0)
+            retry_wait_.push_front(&r);  // failed again: it goes next
+        else if (retry)
+            retry_wait_.push_back(&r);
+        if (!retry_busy_ && !retry_wait_.empty()) {
+            next = retry_wait_.front();
+            retry_wait_.pop_front();
+            retry_busy_ = true;
+        }
+    }
+    if (!retry)
+        r.onRead(st);  // may free r
+    if (next != nullptr) {
+        // Reads are idempotent. The backoff stalls this completion loop
+        // briefly; errors are rare enough that simplicity wins over a
+        // timer wheel.
+        reg_retries_->inc();
+        delayFor(20'000ull << next->retries);
+        next->retries++;
+        enqueue(*next);
+    }
 }
 
 void
 ReadBatcher::taLoop()
 {
     std::unique_lock<std::mutex> lock(ta_mu_);
-    while (!stop_.load(std::memory_order_acquire)) {
+    while (!stop_) {
         if (ta_pending_.empty()) {
-            ta_cv_.wait(lock, [this] {
-                return stop_.load(std::memory_order_acquire) ||
-                       !ta_pending_.empty();
-            });
+            ta_cv_.wait(lock,
+                        [this] { return stop_ || !ta_pending_.empty(); });
             continue;
         }
         // Wait out the batching window (or until the batch is full) in
@@ -183,7 +196,7 @@ ReadBatcher::taLoop()
         // latency cost Fig. 11 quantifies.
         ta_cv_.wait_for(lock, std::chrono::microseconds(timeout_us_),
                         [this] {
-                            return stop_.load(std::memory_order_acquire) ||
+                            return stop_ ||
                                    ta_pending_.size() >=
                                        static_cast<size_t>(queue_depth_);
                         });
@@ -196,9 +209,7 @@ ReadBatcher::taLoop()
         ta_pending_.erase(ta_pending_.begin(),
                           ta_pending_.begin() + static_cast<long>(n));
         lock.unlock();
-        device_.submit({batch.data(), batch.size()});
-        reg_batches_->inc();
-        reg_requests_->add(n);
+        submit(batch);
         lock.lock();
     }
 }

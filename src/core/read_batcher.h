@@ -1,76 +1,90 @@
 /**
  * @file
- * Opportunistic thread combining for Value Storage reads (§5.3, Fig. 5).
+ * The Value Storage read queue (§5.3, Fig. 5): the one way a read of a
+ * record on the SSD reaches the device.
  *
- * Threads that miss both the SVC and the PWB must read the SSD. Each
- * such thread enqueues itself on a Thread Combining Queue (TCQ) with an
- * atomic swap on the tail, MCS-style. The thread that finds the queue
- * empty becomes the *leader*: it walks the queue, coalesces up to
- * queue-depth requests (its own plus the followers'), submits them as
- * one io_uring batch, and everyone waits for their individual
- * completion, which the Value Storage completion thread delivers.
+ * Every such read — a blocking or async get that missed the SVC and the
+ * PWB, a multiGet's or a scan's reads of one SSD, a retry — is a
+ * ReadBatcher::Read that its issuer enqueues and leaves. The batcher
+ * submits it, alone or coalesced with other issuers' reads, and the
+ * device completion calls the Read's handler on the Value Storage
+ * completion thread. enqueue() never waits for the device.
  *
- * The effect is the dynamic batch sizing the paper wants: many
- * concurrent readers form large batches (bandwidth), a lone reader
- * submits immediately (latency).
+ * Thread combining (TC, Prism's scheme) makes the queue an MCS list: an
+ * issuer appends its read, or a chain of reads, with one atomic swap on
+ * the tail. The issuer that finds the queue empty becomes the *leader*:
+ * it walks the queue and submits batches of at most queue-depth reads
+ * until it can close the queue behind the last read it took. Many
+ * concurrent issuers form large batches (bandwidth); a lone issuer
+ * submits at once (latency). A read may complete, and its owner free it,
+ * as soon as it is submitted, so the leader resolves each read's
+ * successor, or closes the queue at it, before it submits the batch that
+ * holds it.
  *
- * The timeout-based alternative ("TA" in Fig. 11) and a no-batching mode
- * are provided for the ablation benchmarks.
+ * The timeout-based alternative ("TA" in Fig. 11) and no combining are
+ * the two other policies of the same queue, kept for the ablation
+ * benchmarks. With no combining, every issuer submits its own reads as
+ * it enqueues them, a chain in batches of up to queue-depth reads, never
+ * together with another issuer's. Every policy counts its device
+ * submissions in prism.tcq.batches and the reads they carried in
+ * prism.tcq.requests.
+ *
+ * Transient I/O errors are retried here, for every read: at most three
+ * resubmissions through the queue, after 20, 40 and 80 µs, counted in
+ * prism.vs.retries. A device that errors sees one retry at a time, and
+ * a read whose retry fails again goes next, the way a lone blocked
+ * reader retries; a burst of concurrent retries would only meet the
+ * device's next errors together.
  */
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "common/stats.h"
 #include "common/status.h"
+#include "core/async.h"
 #include "core/options.h"
 #include "io/io_backend.h"
 
 namespace prism::core {
 
-/**
- * Per-request completion flag. The device completion path signals it via
- * the request's user_data. Values: 0 = pending, 1 = completed,
- * 2 = promoted to leader (TC mode internal), 3 = completed with an I/O
- * error (no data transferred; see common/fault.h).
- */
-struct ReadWaiter {
-    static constexpr uint32_t kOk = 1;
-    static constexpr uint32_t kPromoted = 2;
-    static constexpr uint32_t kIoError = 3;
-
-    std::atomic<uint32_t> sig{0};
-
-    void
-    signal(uint32_t v)
-    {
-        sig.store(v, std::memory_order_release);
-        sig.notify_all();
-    }
-
-    uint32_t
-    waitNonzero()
-    {
-        uint32_t v;
-        while ((v = sig.load(std::memory_order_acquire)) == 0)
-            sig.wait(0, std::memory_order_acquire);
-        return v;
-    }
-};
-
-/** Batches blocking reads to one SSD according to ReadBatchMode. */
+/** Submits the reads of one SSD according to ReadBatchMode. */
 class ReadBatcher {
   public:
     /**
-     * @param device     the Value Storage's device (any io::IoBackend).
-     * @param mode       combining scheme.
-     * @param queue_depth coalescing limit (paper: 64).
-     * @param timeout_us TA mode batching window.
+     * One read and the handler of its outcome. The owner sets
+     * req.offset, req.length and req.buf, enqueues the Read once, and
+     * keeps it alive until onRead runs; onRead may free it. The other
+     * fields belong to the batcher.
+     */
+    struct Read : AsyncIoHandler {
+        io::IoRequest req;
+        ReadBatcher *queue = nullptr;    ///< where a retry goes
+        std::atomic<Read *> next{nullptr};  ///< TC queue link
+        int retries = 0;
+
+        /** The read's final status, once per enqueue (after retries). */
+        virtual void onRead(const Status &st) = 0;
+
+        void
+        onIoComplete(const Status &st) final
+        {
+            queue->complete(*this, st);
+        }
+    };
+
+    /**
+     * @param device      the Value Storage's device (any io::IoBackend).
+     * @param mode        batching policy.
+     * @param queue_depth reads per device submission at most (paper: 64).
+     * @param timeout_us  TA mode batching window.
      */
     ReadBatcher(io::IoBackend &device, ReadBatchMode mode, int queue_depth,
                 uint64_t timeout_us);
@@ -80,37 +94,33 @@ class ReadBatcher {
     ReadBatcher &operator=(const ReadBatcher &) = delete;
 
     /**
-     * Blocking read of [offset, offset+len); may be coalesced with
-     * concurrent readers into a single device submission.
+     * Queue @p reads, in order, as one chain: they may share device
+     * submissions with each other and with other issuers' reads.
      */
-    Status read(uint64_t offset, void *buf, uint32_t len);
+    void enqueue(std::span<Read *const> reads);
 
-    /**
-     * Deliver a device completion whose user_data was produced by this
-     * module (called from the Value Storage completion thread). @p ok
-     * is the completion's status; an error wakes the waiter with
-     * ReadWaiter::kIoError so the read returns Status::ioError.
-     */
-    static void
-    completeFromUserData(uint64_t user_data, bool ok = true)
+    void
+    enqueue(Read &read)
     {
-        reinterpret_cast<ReadWaiter *>(user_data)->signal(
-            ok ? ReadWaiter::kOk : ReadWaiter::kIoError);
+        Read *one = &read;
+        enqueue({&one, 1});
     }
 
   private:
-    struct Node {
-        io::IoRequest req;
-        ReadWaiter waiter;
-        std::atomic<Node *> next{nullptr};
-    };
+    /**
+     * Submit from @p first on, in batches of up to the queue depth: in TC
+     * mode until the queue closes, otherwise to the end of the chain.
+     */
+    void lead(Read *first);
 
-    Status readThreadCombining(Node &node);
-    Status readTimeoutAsync(Node &node);
-    Status readUnbatched(Node &node);
+    /** @p r's successor; nullptr at the end (TC: after closing the queue). */
+    Read *successor(Read *r);
 
-    /** Leader role: coalesce from @p self onward, submit, wait own. */
-    Status leadAndSubmit(Node &self);
+    /** One device submission; a rejected request fails to its handler. */
+    void submit(std::span<const io::IoRequest> batch);
+
+    /** Completion of @p r: retry a transient error, else onRead. */
+    void complete(Read &r, const Status &st);
 
     void taLoop();
 
@@ -120,19 +130,25 @@ class ReadBatcher {
     uint64_t timeout_us_;
 
     // TC state.
-    std::atomic<Node *> tail_{nullptr};
+    std::atomic<Read *> tail_{nullptr};
 
     // TA state.
     std::mutex ta_mu_;
     std::condition_variable ta_cv_;
-    std::vector<Node *> ta_pending_;
-    std::atomic<bool> stop_{false};
+    std::vector<Read *> ta_pending_;
+    bool stop_ = false;
     std::thread ta_thread_;
+
+    // Retries waiting for the one in flight.
+    std::mutex retry_mu_;
+    std::deque<Read *> retry_wait_;
+    bool retry_busy_ = false;
 
     // Shared-by-name process-wide metrics; requests/batches is the TCQ
     // combine ratio (Fig. 11).
     stats::Counter *reg_batches_;
     stats::Counter *reg_requests_;
+    stats::Counter *reg_retries_;
 };
 
 }  // namespace prism::core

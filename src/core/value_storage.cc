@@ -7,7 +7,6 @@
 #include "common/logging.h"
 #include "common/numa.h"
 #include "common/trace.h"
-#include "core/async.h"
 #include "core/chunk_writer.h"
 
 namespace prism::core {
@@ -57,7 +56,8 @@ void
 ValueStorage::completionLoop()
 {
     // The background completion thread of §5.3 step 4: reap the CQ and
-    // wake the waiter identified by each completion's user_data.
+    // hand each completion to the handler its user_data names — a
+    // queued read (core/read_batcher.h) or a chunk-write ticket.
     trace::TraceRegistry::global().setThreadName(
         "vs-completion-" + std::to_string(ssd_id_));
     numa::pinThreadToNode(numa_node_);
@@ -67,24 +67,10 @@ ValueStorage::completionLoop()
         // Completions wake this wait via the device's CQ condvar; the
         // timeout only bounds shutdown latency, so keep it long enough
         // that an idle device costs ~100 wakeups/s, not 5000.
-        if (device_->waitCompletions(completions, 256, 10000) == 0)
-            continue;
-        for (const auto &c : completions) {
-            if (c.user_data & AsyncIoHandler::kTag) {
-                // Async-API read (core/async.h): hand the completion to
-                // its handler; it validates, retries or completes the op
-                // on this thread.
-                auto *h = reinterpret_cast<AsyncIoHandler *>(
-                    c.user_data & ~AsyncIoHandler::kTagMask);
-                h->onIoComplete(c.status);
-                continue;
-            }
-            auto *w = reinterpret_cast<ReadWaiter *>(c.user_data & ~1ull);
-            if (w != nullptr) {
-                w->signal(c.status.isOk() ? ReadWaiter::kOk
-                                          : ReadWaiter::kIoError);
-            }
-        }
+        device_->waitCompletions(completions, 256, 10000);
+        for (const auto &c : completions)
+            reinterpret_cast<AsyncIoHandler *>(c.user_data)
+                ->onIoComplete(c.status);
     }
 }
 
@@ -124,9 +110,8 @@ ValueStorage::submitChunkWrite(int64_t chunk, const uint8_t *buf,
     req.offset = static_cast<uint64_t>(chunk) * chunk_bytes_;
     req.length = len;
     req.src = buf;
-    // Bit 0 tags the waiter as a chunk-write ticket (pointers are
-    // 8-byte aligned, so the low bits are free).
-    req.user_data = reinterpret_cast<uint64_t>(&ticket->waiter) | 1ull;
+    req.user_data =
+        reinterpret_cast<uint64_t>(static_cast<AsyncIoHandler *>(ticket));
     return device_->submit(req);
 }
 
@@ -220,27 +205,6 @@ ValueStorage::isValid(uint64_t dev_offset) const
     const uint64_t unit = (dev_offset % chunk_bytes_) / ValueAddr::kSizeUnit;
     return metas_[chunk].bitmap[unit / 64].load(std::memory_order_acquire) &
            (1ull << (unit % 64));
-}
-
-Status
-ValueStorage::readRecord(ValueAddr addr, std::vector<uint8_t> &buf)
-{
-    PRISM_DCHECK(addr.isVs() && addr.ssdId() == ssd_id_);
-    buf.resize(addr.recordBytes());
-    Status st;
-    for (int attempt = 0; attempt < 3; attempt++) {
-        if (attempt > 0) {
-            // Transient I/O error (injected fault / device hiccup):
-            // retry with a short backoff before surfacing it.
-            reg_retries_->inc();
-            delayFor(20'000ull << (attempt - 1));
-        }
-        st = reader_->read(addr.offset(), buf.data(),
-                           static_cast<uint32_t>(addr.recordBytes()));
-        if (st.code() != StatusCode::kIoError)
-            break;
-    }
-    return st;
 }
 
 bool

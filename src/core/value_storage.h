@@ -21,15 +21,17 @@
  * are recycled only after an epoch grace period, so in-flight readers
  * holding old addresses stay safe.
  *
- * One ValueStorage exists per SSD; each owns a completion thread that
- * reaps the device CQ and wakes read/write waiters (§5.1: "one Value
- * Storage per SSD ... its own thread for asynchronous IO").
+ * One ValueStorage exists per SSD. It owns the SSD's read queue and a
+ * completion thread that reaps the device CQ and hands every completion
+ * to the AsyncIoHandler its request names (§5.1: "one Value Storage per
+ * SSD ... its own thread for asynchronous IO").
  */
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -37,6 +39,7 @@
 #include "common/prof.h"
 #include "common/spinlock.h"
 #include "core/addr.h"
+#include "core/async.h"
 #include "core/hsit.h"
 #include "core/options.h"
 #include "core/read_batcher.h"
@@ -45,24 +48,31 @@
 namespace prism::core {
 
 /** Completion handle for an asynchronous chunk write. */
-struct WriteTicket {
-    ReadWaiter waiter;
+struct WriteTicket final : AsyncIoHandler {
+    std::atomic<uint32_t> sig{0};  ///< 0 = in flight, 1 = ok, 2 = failed
 
-    void wait() { waiter.waitNonzero(); }
+    void
+    onIoComplete(const Status &st) override
+    {
+        sig.store(st.isOk() ? 1 : 2, std::memory_order_release);
+        sig.notify_all();
+    }
+
+    void
+    wait()
+    {
+        while (sig.load(std::memory_order_acquire) == 0)
+            sig.wait(0, std::memory_order_acquire);
+    }
 
     /** Non-blocking completion poll (pipelined chunk writes). */
-    bool done() const {
-        return waiter.sig.load(std::memory_order_acquire) != 0;
-    }
+    bool done() const { return sig.load(std::memory_order_acquire) != 0; }
 
     /** True when the completed write errored (injected or dropout). */
-    bool failed() const {
-        return waiter.sig.load(std::memory_order_acquire) ==
-               ReadWaiter::kIoError;
-    }
+    bool failed() const { return sig.load(std::memory_order_acquire) == 2; }
 
     /** Re-arm for a retry submission. */
-    void reset() { waiter.sig.store(0, std::memory_order_relaxed); }
+    void reset() { sig.store(0, std::memory_order_relaxed); }
 };
 
 /** Log-structured chunk store on a single SSD. */
@@ -84,7 +94,6 @@ class ValueStorage {
 
     uint32_t ssdId() const { return ssd_id_; }
     io::IoBackend &device() { return *device_; }
-    ReadBatcher &reader() { return *reader_; }
     uint64_t chunkBytes() const { return chunk_bytes_; }
     size_t totalChunks() const { return metas_.size(); }
     size_t freeChunks() const;
@@ -132,8 +141,17 @@ class ValueStorage {
     }
     ///@}
 
-    /** Read a full record (header + payload) through the read batcher. */
-    Status readRecord(ValueAddr addr, std::vector<uint8_t> &buf);
+    /**
+     * Queue reads of this SSD (core/read_batcher.h): the one way a
+     * record read reaches the device. Returns at once; each read's
+     * onRead runs when it completes. GC's victim reads are the exception:
+     * a pass reads whole chunks synchronously (device().readSync).
+     */
+    void
+    enqueueReads(std::span<ReadBatcher::Read *const> reads)
+    {
+        reader_->enqueue(reads);
+    }
 
     /** @name Garbage collection (§5.2) */
     ///@{

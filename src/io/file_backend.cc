@@ -111,10 +111,12 @@ FileBackendBase::deliver(std::vector<IoCompletion> &batch)
     if (batch.empty())
         return;
     {
+        // Leave inflight() under the lock, so a reaper that drained these
+        // completions never sees the device still busy with them.
         std::lock_guard<std::mutex> lock(cq_mu_);
         cq_.insert(cq_.end(), batch.begin(), batch.end());
+        inflight_.fetch_sub(batch.size(), std::memory_order_acq_rel);
     }
-    inflight_.fetch_sub(batch.size(), std::memory_order_acq_rel);
     ins_.inflight->sub(static_cast<int64_t>(batch.size()));
     cq_cv_.notify_all();
     batch.clear();

@@ -7,6 +7,20 @@
 #include "common/logging.h"
 #include "common/rand.h"
 
+namespace {
+
+/** Slots sit at any byte offset in a page: copy headers in and out. */
+template <typename Header>
+Header
+loadHeader(const uint8_t *p)
+{
+    Header hdr;
+    std::memcpy(&hdr, p, sizeof(hdr));
+    return hdr;
+}
+
+}  // namespace
+
 namespace prism::kvell {
 
 Kvell::Kvell(const KvellOptions &opts,
@@ -361,14 +375,13 @@ Kvell::processBatch(Worker &w, std::vector<Request *> &batch)
             const uint64_t page = slot / spp;
             auto lit = local.find(page);
             PRISM_CHECK(lit != local.end());
-            auto *hdr = reinterpret_cast<SlotHeader *>(
-                lit->second.data() + (slot % spp) * slot_bytes_);
-            hdr->key = req->key;
-            hdr->value_len =
-                static_cast<uint32_t>(req->value_in.size());
-            hdr->valid = 1;
-            std::memcpy(hdr + 1, req->value_in.data(),
-                        req->value_in.size());
+            uint8_t *at = lit->second.data() + (slot % spp) * slot_bytes_;
+            const SlotHeader hdr{
+                req->key, static_cast<uint32_t>(req->value_in.size()), 1};
+            std::memcpy(at, &hdr, sizeof(hdr));
+            if (!req->value_in.empty())
+                std::memcpy(at + sizeof(hdr), req->value_in.data(),
+                            req->value_in.size());
             markDirty(page);
             req->status = Status::ok();
             break;
@@ -382,10 +395,11 @@ Kvell::processBatch(Worker &w, std::vector<Request *> &batch)
             const uint64_t page = it->second / spp;
             auto lit = local.find(page);
             PRISM_CHECK(lit != local.end());
-            const auto *hdr = reinterpret_cast<const SlotHeader *>(
-                lit->second.data() + (it->second % spp) * slot_bytes_);
+            const uint8_t *at =
+                lit->second.data() + (it->second % spp) * slot_bytes_;
             req->value_out->assign(
-                reinterpret_cast<const char *>(hdr + 1), hdr->value_len);
+                reinterpret_cast<const char *>(at + sizeof(SlotHeader)),
+                loadHeader<SlotHeader>(at).value_len);
             req->status = Status::ok();
             break;
           }
@@ -399,10 +413,11 @@ Kvell::processBatch(Worker &w, std::vector<Request *> &batch)
             const uint64_t page = slot / spp;
             auto lit = local.find(page);
             PRISM_CHECK(lit != local.end());
-            auto *hdr = reinterpret_cast<SlotHeader *>(
-                lit->second.data() + (slot % spp) * slot_bytes_);
-            hdr->valid = 0;
-            hdr->value_len = 0;
+            uint8_t *at = lit->second.data() + (slot % spp) * slot_bytes_;
+            SlotHeader hdr = loadHeader<SlotHeader>(at);
+            hdr.valid = 0;
+            hdr.value_len = 0;
+            std::memcpy(at, &hdr, sizeof(hdr));
             w.index.erase(it);
             w.free_slots.push_back(slot);
             markDirty(page);
@@ -505,11 +520,11 @@ Kvell::processScan(Worker &w, Request &req)
     for (const auto &[key, slot] : hits) {
         auto lit = local.find(slot / spp);
         PRISM_CHECK(lit != local.end());
-        const auto *hdr = reinterpret_cast<const SlotHeader *>(
-            lit->second.data() + (slot % spp) * slot_bytes_);
+        const uint8_t *at = lit->second.data() + (slot % spp) * slot_bytes_;
         req.scan_out->emplace_back(
-            key, std::string(reinterpret_cast<const char *>(hdr + 1),
-                             hdr->value_len));
+            key, std::string(reinterpret_cast<const char *>(
+                                 at + sizeof(SlotHeader)),
+                             loadHeader<SlotHeader>(at).value_len));
     }
     for (auto &[page, data] : local) {
         if (cacheLookup(w, page) == nullptr)
@@ -551,10 +566,10 @@ Kvell::recoverByFullScan()
             w->ssd->readSync(w->slab_base + p * kPageBytes, page.data(),
                              kPageBytes);
             for (uint64_t s = 0; s < spp; s++) {
-                const auto *hdr = reinterpret_cast<const SlotHeader *>(
+                const auto hdr = loadHeader<SlotHeader>(
                     page.data() + s * slot_bytes_);
-                if (hdr->valid != 0)
-                    w->index[hdr->key] = p * spp + s;
+                if (hdr.valid != 0)
+                    w->index[hdr.key] = p * spp + s;
                 else
                     w->free_slots.push_back(p * spp + s);
             }

@@ -75,7 +75,8 @@ LsmTree::writeImpl(uint64_t key, EntryType type, std::string_view value)
     hdr->seq = seq;
     hdr->value_len = static_cast<uint32_t>(value.size());
     hdr->type = static_cast<uint32_t>(type);
-    std::memcpy(hdr + 1, value.data(), value.size());
+    if (!value.empty())  // a delete's empty value may have a null data()
+        std::memcpy(hdr + 1, value.data(), value.size());
     Status st = wal_->append(rec.data(), static_cast<uint32_t>(rec.size()));
     if (!st.isOk())
         return st;

@@ -45,6 +45,15 @@ struct RecordHeader {
 };
 constexpr uint32_t kPadType = 0xFFFFFFFF;
 
+/** Records sit at any byte offset in a block: copy headers in and out. */
+RecordHeader
+loadHeader(const uint8_t *p)
+{
+    RecordHeader hdr;
+    std::memcpy(&hdr, p, sizeof(hdr));
+    return hdr;
+}
+
 std::atomic<uint64_t> g_next_table_id{1};
 
 }  // namespace
@@ -125,13 +134,12 @@ TableBuilder::add(const Entry &e)
     if (block_fill_ == 0)
         first_keys_.push_back(e.key);
 
-    auto *hdr = reinterpret_cast<RecordHeader *>(block_.data() +
-                                                 block_fill_);
-    hdr->key = e.key;
-    hdr->seq = e.seq;
-    hdr->value_len = static_cast<uint32_t>(e.value.size());
-    hdr->type = static_cast<uint32_t>(e.type);
-    std::memcpy(hdr + 1, e.value.data(), e.value.size());
+    const RecordHeader hdr{e.key, e.seq,
+                           static_cast<uint32_t>(e.value.size()),
+                           static_cast<uint32_t>(e.type)};
+    uint8_t *at = block_.data() + block_fill_;
+    std::memcpy(at, &hdr, sizeof(hdr));
+    std::memcpy(at + sizeof(hdr), e.value.data(), e.value.size());
     block_fill_ += need;
 
     bloom_.add(e.key);
@@ -149,9 +157,8 @@ TableBuilder::sealBlock()
         return;
     if (block_fill_ + sizeof(RecordHeader) <= kBlockBytes) {
         // Mark the tail so readers stop at the pad record.
-        auto *hdr = reinterpret_cast<RecordHeader *>(block_.data() +
-                                                     block_fill_);
-        hdr->type = kPadType;
+        const RecordHeader pad{0, 0, 0, kPadType};
+        std::memcpy(block_.data() + block_fill_, &pad, sizeof(pad));
     }
     buf_.insert(buf_.end(), block_.begin(), block_.end());
     std::fill(block_.begin(), block_.end(), 0);
@@ -231,22 +238,22 @@ Table::get(uint64_t key, BlockCache *cache) const
 
     uint32_t pos = 0;
     while (pos + sizeof(RecordHeader) <= block->size()) {
-        const auto *hdr =
-            reinterpret_cast<const RecordHeader *>(block->data() + pos);
-        if (hdr->type == kPadType)
+        const RecordHeader hdr = loadHeader(block->data() + pos);
+        if (hdr.type == kPadType)
             break;
-        if (hdr->key == key) {
+        if (hdr.key == key) {
             Entry e;
-            e.key = hdr->key;
-            e.seq = hdr->seq;
-            e.type = static_cast<EntryType>(hdr->type);
-            e.value.assign(
-                reinterpret_cast<const char *>(hdr + 1), hdr->value_len);
+            e.key = hdr.key;
+            e.seq = hdr.seq;
+            e.type = static_cast<EntryType>(hdr.type);
+            e.value.assign(reinterpret_cast<const char *>(block->data() +
+                                                          pos + sizeof(hdr)),
+                           hdr.value_len);
             return e;
         }
-        if (hdr->key > key)
+        if (hdr.key > key)
             break;  // records are sorted
-        pos += sizeof(RecordHeader) + hdr->value_len;
+        pos += sizeof(RecordHeader) + hdr.value_len;
     }
     return std::nullopt;
 }
@@ -300,22 +307,22 @@ Table::Iter::loadBlock(uint32_t index)
     block_entries_.clear();
     uint32_t pos = 0;
     while (pos + sizeof(RecordHeader) <= block->size()) {
-        const auto *hdr =
-            reinterpret_cast<const RecordHeader *>(block->data() + pos);
-        if (hdr->type == kPadType)
+        const RecordHeader hdr = loadHeader(block->data() + pos);
+        if (hdr.type == kPadType)
             break;
         // A zero-length zeroed tail also terminates the block.
-        if (hdr->key == 0 && hdr->seq == 0 && hdr->value_len == 0 &&
+        if (hdr.key == 0 && hdr.seq == 0 && hdr.value_len == 0 &&
             !block_entries_.empty())
             break;
         Entry e;
-        e.key = hdr->key;
-        e.seq = hdr->seq;
-        e.type = static_cast<EntryType>(hdr->type);
-        e.value.assign(reinterpret_cast<const char *>(hdr + 1),
-                       hdr->value_len);
+        e.key = hdr.key;
+        e.seq = hdr.seq;
+        e.type = static_cast<EntryType>(hdr.type);
+        e.value.assign(reinterpret_cast<const char *>(block->data() + pos +
+                                                      sizeof(hdr)),
+                       hdr.value_len);
         block_entries_.push_back(std::move(e));
-        pos += sizeof(RecordHeader) + hdr->value_len;
+        pos += sizeof(RecordHeader) + hdr.value_len;
     }
     pos_ = 0;
     return true;

@@ -106,10 +106,11 @@ TEST(AsyncApi, CallbackFiresWithCompletionStatus)
  * The tentpole claim: one thread, hundreds of gets in flight at once.
  * Timed devices with the SVC off (so every get actually goes to the
  * device); all values are pushed out of the PWBs first, and the
- * "ssd.<n>.latency" fault site pins service time at 2 ms per read so
- * the measurement is deterministic. The peak of asyncInflight() while
- * the issue loop runs must reach 128 — a blocking caller would never
- * exceed 1.
+ * "ssd.<n>.latency" fault site pins service time at 20 ms per read so
+ * the measurement is deterministic, also under ThreadSanitizer, where
+ * issuing one get takes about 17 us and a 2 ms window held only 88-122
+ * gets. The peak of asyncInflight() while the issue loop runs must
+ * reach 128 — a blocking caller would never exceed 1.
  */
 TEST(AsyncApi, SustainsManyInflightGetsFromOneThread)
 {
@@ -124,7 +125,7 @@ TEST(AsyncApi, SustainsManyInflightGetsFromOneThread)
     fault::FaultSpec slow;
     slow.trigger = fault::Trigger::kEvery;
     slow.n = 1;
-    slow.payload = 2'000'000;  // +2 ms service latency per request
+    slow.payload = 20'000'000;  // +20 ms service latency per request
     freg.arm("ssd." + std::to_string(ts.ssds[0]->deviceNumber()) +
                  ".latency",
              slow);

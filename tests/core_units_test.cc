@@ -9,6 +9,7 @@
 
 #include <thread>
 
+#include "common/fault.h"
 #include "common/rand.h"
 #include "core/chunk_writer.h"
 #include "core/hsit.h"
@@ -360,6 +361,15 @@ struct VsFixture {
         vs = std::make_unique<ValueStorage>(0, ssd, opts, epochs);
         hsit = Hsit::create(*nvm.region, *nvm.alloc, 4096);
     }
+
+    /** Read a whole record (header + payload) straight off the device. */
+    Status
+    readBack(ValueAddr a, std::vector<uint8_t> &buf)
+    {
+        buf.resize(a.recordBytes());
+        return ssd->readSync(a.offset(), buf.data(),
+                             static_cast<uint32_t>(a.recordBytes()));
+    }
 };
 
 TEST(ValueStorageTest, ChunkLifecycle)
@@ -429,8 +439,7 @@ TEST(ChunkWriterTest, PacksRecordsAndReadsBack)
 
     std::vector<uint8_t> buf;
     for (int i = 0; i < 50; i++) {
-        ASSERT_TRUE(fx.vs->readRecord(addrs[static_cast<size_t>(i)], buf)
-                        .isOk());
+        ASSERT_TRUE(fx.readBack(addrs[static_cast<size_t>(i)], buf).isOk());
         const auto *hdr =
             reinterpret_cast<const ValueRecordHeader *>(buf.data());
         EXPECT_EQ(hdr->backward, static_cast<uint64_t>(i));
@@ -484,7 +493,7 @@ TEST(ValueStorageTest, GcRelocatesLiveValues)
     for (size_t i = 0; i < items.size(); i += 8) {
         const ValueAddr now = fx.hsit->loadPrimary(items[i].h);
         ASSERT_FALSE(now.isNull());
-        ASSERT_TRUE(fx.vs->readRecord(now, buf).isOk());
+        ASSERT_TRUE(fx.readBack(now, buf).isOk());
         const auto *hdr =
             reinterpret_cast<const ValueRecordHeader *>(buf.data());
         EXPECT_EQ(hdr->backward, items[i].h);
@@ -496,6 +505,45 @@ TEST(ValueStorageTest, GcRelocatesLiveValues)
 
 class ReadBatcherTest : public ::testing::TestWithParam<ReadBatchMode> {};
 
+/**
+ * A 4 KB read of one stamped block. Waited reads live on their issuer's
+ * stack and raise `done`; fire-and-forget reads free themselves.
+ */
+struct BlockRead : ReadBatcher::Read {
+    uint64_t block = 0;
+    std::vector<uint64_t> data = std::vector<uint64_t>(512);
+    std::atomic<int> *completions = nullptr;  ///< this request's count
+    bool fire_and_forget = false;
+    std::atomic<uint32_t> done{0};
+
+    BlockRead(uint64_t b, std::atomic<int> *count, bool forget)
+        : block(b), completions(count), fire_and_forget(forget)
+    {
+        req.offset = b * 4096;
+        req.length = 4096;
+        req.buf = data.data();
+    }
+
+    void
+    onRead(const Status &st) override
+    {
+        // A read whose retries all met injected errors reports one.
+        if (st.isOk()) {
+            EXPECT_EQ(data[0], block);
+            EXPECT_EQ(data[511], block);
+        } else {
+            EXPECT_EQ(st.code(), StatusCode::kIoError);
+        }
+        completions->fetch_add(1);
+        if (fire_and_forget) {
+            delete this;
+            return;
+        }
+        done.store(1, std::memory_order_release);
+        done.notify_all();
+    }
+};
+
 TEST_P(ReadBatcherTest, ConcurrentReadsAllCorrect)
 {
     auto ssd = std::make_shared<sim::SsdDevice>(
@@ -506,42 +554,72 @@ TEST_P(ReadBatcherTest, ConcurrentReadsAllCorrect)
         ssd->writeSync(b * 4096, block.data(), 4096);
     }
     ReadBatcher batcher(*ssd, GetParam(), 16, 50);
+    // Every 10th request errors, so retries resubmit through the queue
+    // while issuers keep enqueueing.
+    auto &faults = fault::FaultRegistry::global();
+    fault::FaultSpec every10;
+    every10.trigger = fault::Trigger::kEvery;
+    every10.n = 10;
+    faults.arm("ssd." + std::to_string(ssd->deviceNumber()) + ".io_error",
+               every10);
     const auto before = stats::StatsRegistry::global().snapshot();
     // A completion thread, as ValueStorage runs one.
     std::atomic<bool> stop{false};
     std::thread completer([&] {
-        std::vector<sim::SsdCompletion> done;
+        std::vector<io::IoCompletion> done;
         while (!stop.load()) {
             done.clear();
-            if (ssd->waitCompletions(done, 64, 100) == 0)
-                continue;
+            ssd->waitCompletions(done, 64, 100);
             for (const auto &c : done)
-                ReadBatcher::completeFromUserData(c.user_data);
+                reinterpret_cast<AsyncIoHandler *>(c.user_data)
+                    ->onIoComplete(c.status);
         }
     });
 
-    std::vector<std::thread> readers;
-    for (int t = 0; t < 8; t++) {
-        readers.emplace_back([&, t] {
+    constexpr int kThreads = 8;
+    constexpr int kPerThread = 500;
+    std::vector<std::atomic<int>> completions(kThreads * kPerThread);
+    std::vector<std::thread> issuers;
+    for (int t = 0; t < kThreads; t++) {
+        issuers.emplace_back([&, t] {
             Xorshift rng(static_cast<uint64_t>(t));
-            std::vector<uint64_t> buf(512);
-            for (int i = 0; i < 500; i++) {
+            for (int i = 0; i < kPerThread; i++) {
                 const uint64_t b = rng.nextUniform(256);
-                ASSERT_TRUE(batcher.read(b * 4096, buf.data(), 4096)
-                                .isOk());
-                ASSERT_EQ(buf[0], b);
-                ASSERT_EQ(buf[511], b);
+                std::atomic<int> *count = &completions[static_cast<size_t>(
+                    t * kPerThread + i)];
+                if (i % 2 == 1) {
+                    batcher.enqueue(*new BlockRead(b, count, true));
+                    continue;
+                }
+                BlockRead read(b, count, false);
+                batcher.enqueue(read);
+                while (read.done.load(std::memory_order_acquire) == 0)
+                    read.done.wait(0, std::memory_order_acquire);
             }
         });
     }
-    for (auto &r : readers)
-        r.join();
+    for (auto &t : issuers)
+        t.join();
+    // Fire-and-forget reads may still be in flight: wait them out.
+    const auto all_done = [&] {
+        for (const auto &c : completions)
+            if (c.load() == 0)
+                return false;
+        return ssd->inflight() == 0;
+    };
+    for (int spin = 0; !all_done() && spin < 10000; spin++)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
     stop.store(true);
     completer.join();
+    faults.disarmAll();
+    for (size_t i = 0; i < completions.size(); i++)
+        ASSERT_EQ(completions[i].load(), 1) << "request " << i;
     const auto after = stats::StatsRegistry::global().snapshot();
+    const uint64_t retries = after.counterDelta(before, "prism.vs.retries");
+    EXPECT_GT(retries, 0u);
     const uint64_t requests =
         after.counterDelta(before, "prism.tcq.requests");
-    EXPECT_EQ(requests, 8u * 500);
+    EXPECT_EQ(requests, kThreads * kPerThread + retries);
     EXPECT_LE(after.counterDelta(before, "prism.tcq.batches"), requests);
 }
 

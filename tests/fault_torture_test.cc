@@ -216,45 +216,58 @@ value(uint64_t key, uint64_t version)
 
 TEST(FaultWiring, InjectedReadErrorsAreRetriedTransparently)
 {
-    FaultGuard guard;
-    Rig rig(smallOptions(), 1);
-    constexpr uint64_t kKeys = 400;
-    for (uint64_t k = 0; k < kKeys; k++)
-        ASSERT_TRUE(rig.db->put(k, value(k, 1)).isOk());
-    rig.db->flushAll();  // values now live on SSD
+    for (const ReadBatchMode mode :
+         {ReadBatchMode::kThreadCombining, ReadBatchMode::kTimeoutAsync,
+          ReadBatchMode::kNone}) {
+        SCOPED_TRACE(static_cast<int>(mode));
+        FaultGuard guard;
+        PrismOptions opts = smallOptions();
+        opts.read_batch_mode = mode;
+        Rig rig(opts, 1);
+        constexpr uint64_t kKeys = 400;
+        for (uint64_t k = 0; k < kKeys; k++)
+            ASSERT_TRUE(rig.db->put(k, value(k, 1)).isOk());
+        rig.db->flushAll();  // values now live on SSD
 
-    // Every 3rd request to this device errors; single-threaded reads,
-    // so the retried submission (the next hit) always succeeds.
-    const std::string site =
-        "ssd." + std::to_string(rig.ssds[0]->deviceNumber()) + ".io_error";
-    const uint64_t retries_before = counterValue("prism.vs.retries");
-    FaultSpec every3;
-    every3.trigger = Trigger::kEvery;
-    every3.n = 3;
-    FaultRegistry::global().arm(site, every3);
+        // Every 3rd request to this device errors. Reads are issued one
+        // at a time here, and the read queue retries a failed read
+        // before any other, so the retry (the next hit) always succeeds.
+        const std::string site = "ssd." +
+                                 std::to_string(rig.ssds[0]->deviceNumber()) +
+                                 ".io_error";
+        const uint64_t retries_before = counterValue("prism.vs.retries");
+        FaultSpec every3;
+        every3.trigger = Trigger::kEvery;
+        every3.n = 3;
+        FaultRegistry::global().arm(site, every3);
 
-    std::string v;
-    for (uint64_t k = 0; k < kKeys; k += 7) {
-        ASSERT_TRUE(rig.db->get(k, &v).isOk()) << k;
-        EXPECT_EQ(v, value(k, 1)) << k;
+        std::string v;
+        for (uint64_t k = 0; k < kKeys; k += 7) {
+            ASSERT_TRUE(rig.db->get(k, &v).isOk()) << k;
+            EXPECT_EQ(v, value(k, 1)) << k;
+            const uint64_t a = (k + 1) % kKeys;
+            OpFuture f = rig.db->asyncGet(a);
+            ASSERT_TRUE(f.wait().isOk()) << a;
+            EXPECT_EQ(f.value(), value(a, 1)) << a;
+        }
+        // multiGet and scan queue many reads at once.
+        std::vector<uint64_t> keys;
+        for (uint64_t k = 0; k < 64; k++)
+            keys.push_back(k);
+        std::vector<std::optional<std::string>> out;
+        ASSERT_TRUE(rig.db->multiGet(keys, &out).isOk());
+        for (uint64_t k = 0; k < 64; k++) {
+            ASSERT_TRUE(out[k].has_value()) << k;
+            EXPECT_EQ(*out[k], value(k, 1)) << k;
+        }
+        std::vector<std::pair<uint64_t, std::string>> scanned;
+        ASSERT_TRUE(rig.db->scan(0, 64, &scanned).isOk());
+        ASSERT_EQ(scanned.size(), 64u);
+
+        FaultRegistry::global().disarmAll();
+        EXPECT_GT(counterValue("prism.vs.retries"), retries_before)
+            << "faults were injected, so retries must have engaged";
     }
-    // multiGet and scan take the batched paths.
-    std::vector<uint64_t> keys;
-    for (uint64_t k = 0; k < 64; k++)
-        keys.push_back(k);
-    std::vector<std::optional<std::string>> out;
-    ASSERT_TRUE(rig.db->multiGet(keys, &out).isOk());
-    for (uint64_t k = 0; k < 64; k++) {
-        ASSERT_TRUE(out[k].has_value()) << k;
-        EXPECT_EQ(*out[k], value(k, 1)) << k;
-    }
-    std::vector<std::pair<uint64_t, std::string>> scanned;
-    ASSERT_TRUE(rig.db->scan(0, 64, &scanned).isOk());
-    ASSERT_EQ(scanned.size(), 64u);
-
-    FaultRegistry::global().disarmAll();
-    EXPECT_GT(counterValue("prism.vs.retries"), retries_before)
-        << "faults were injected, so retries must have engaged";
 }
 
 TEST(FaultWiring, TransientChunkWriteFaultIsRetried)

@@ -185,6 +185,53 @@ TEST(PrismDbTest, ScanAfterReclaimReadsFromSsd)
     EXPECT_GT(ts.counter("prism.get.vs_reads"), 0u);
 }
 
+/**
+ * Every Value Storage read goes through the SSD's read queue: a scan and
+ * a multiGet whose K records sit apart on one SSD reach the device in
+ * ceil(K / read_queue_depth) batches under either batching policy.
+ */
+TEST(PrismDbTest, ScanAndMultiGetBatchThroughReadQueue)
+{
+    constexpr uint64_t kRecords = 20;
+    constexpr int kQueueDepth = 8;
+    constexpr uint64_t kBatches = (kRecords + kQueueDepth - 1) / kQueueDepth;
+    for (const ReadBatchMode mode : {ReadBatchMode::kThreadCombining,
+                                     ReadBatchMode::kTimeoutAsync}) {
+        SCOPED_TRACE(static_cast<int>(mode));
+        TestStore ts(/*num_ssds=*/1, /*open_now=*/false);
+        ts.opts.enable_svc = false;  // every read reaches the SSD
+        ts.opts.read_batch_mode = mode;
+        ts.opts.read_queue_depth = kQueueDepth;
+        ts.open();
+        // A filler key after each record keeps the scanned records apart
+        // on the SSD, so span merging leaves one read per record.
+        std::vector<uint64_t> keys;
+        for (uint64_t k = 0; k < kRecords; k++) {
+            ASSERT_TRUE(ts.db->put(k, valueFor(k)).isOk());
+            ASSERT_TRUE(ts.db->put(1000 + k, valueFor(1000 + k)).isOk());
+            keys.push_back(k);
+        }
+        ts.db->flushAll();
+
+        uint64_t batches = ts.counter("prism.tcq.batches");
+        std::vector<std::pair<uint64_t, std::string>> rows;
+        ASSERT_TRUE(ts.db->scan(0, kRecords, &rows).isOk());
+        ASSERT_EQ(rows.size(), kRecords);
+        for (uint64_t k = 0; k < kRecords; k++)
+            EXPECT_EQ(rows[k].second, valueFor(k)) << k;
+        EXPECT_EQ(ts.counter("prism.tcq.batches") - batches, kBatches);
+
+        batches = ts.counter("prism.tcq.batches");
+        std::vector<std::optional<std::string>> out;
+        ASSERT_TRUE(ts.db->multiGet(keys, &out).isOk());
+        for (uint64_t k = 0; k < kRecords; k++) {
+            ASSERT_TRUE(out[k].has_value()) << k;
+            EXPECT_EQ(*out[k], valueFor(k)) << k;
+        }
+        EXPECT_EQ(ts.counter("prism.tcq.batches") - batches, kBatches);
+    }
+}
+
 TEST(PrismDbTest, RestartRecoversData)
 {
     TestStore ts;

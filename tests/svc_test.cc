@@ -243,7 +243,11 @@ TEST(SvcTest, ScanChainReorganisesOnEviction)
     // And their contents must be intact.
     std::vector<uint8_t> buf;
     for (const auto &[h, a] : now) {
-        ASSERT_TRUE(fx.vs->readRecord(a, buf).isOk());
+        buf.resize(a.recordBytes());
+        ASSERT_TRUE(fx.vs->device()
+                        .readSync(a.offset(), buf.data(),
+                                  static_cast<uint32_t>(a.recordBytes()))
+                        .isOk());
         const auto *hdr =
             reinterpret_cast<const ValueRecordHeader *>(buf.data());
         EXPECT_EQ(hdr->backward, h);
