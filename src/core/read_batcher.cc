@@ -129,23 +129,39 @@ ReadBatcher::successor(Read *r)
 void
 ReadBatcher::submit(std::span<const io::IoRequest> batch)
 {
-    // Count before submitting, so that whoever sees a read complete also
-    // sees it counted; a batch the device rejects counts as well.
+    // The device rejects a whole batch for one malformed request
+    // (io/io_backend.h): such a read fails here, alone, and the rest of
+    // the batch goes on without it.
+    const uint64_t capacity = device_.capacity();
+    const auto malformed = [capacity](const io::IoRequest &r) {
+        return r.length == 0 || r.offset + r.length > capacity;
+    };
+    const auto fail = [](const io::IoRequest &r, const Status &st) {
+        reinterpret_cast<AsyncIoHandler *>(r.user_data)->onIoComplete(st);
+    };
+    if (std::any_of(batch.begin(), batch.end(), malformed)) {
+        std::vector<io::IoRequest> rest;
+        for (const io::IoRequest &req : batch) {
+            if (!malformed(req))
+                rest.push_back(req);
+            else
+                fail(req, Status::invalidArgument(
+                              "read is empty or beyond device capacity"));
+        }
+        if (!rest.empty())
+            submit(rest);
+        return;
+    }
+    // The device accepts every well-formed batch, so counting before the
+    // submit counts accepted submissions only, and whoever sees a read
+    // complete also sees it counted.
     reg_batches_->inc();
     reg_requests_->add(batch.size());
     const Status st = device_.submit(batch);
-    if (st.isOk())
-        return;
-    // The device rejects a whole batch for one malformed request
-    // (io/io_backend.h): resubmit the requests alone so that only the
-    // bad one fails.
-    if (batch.size() > 1) {
+    if (!st.isOk()) {  // a backend that breaks its contract
         for (const io::IoRequest &req : batch)
-            submit({&req, 1});
-        return;
+            fail(req, st);  // no completion will come
     }
-    reinterpret_cast<AsyncIoHandler *>(batch[0].user_data)
-        ->onIoComplete(st);
 }
 
 void

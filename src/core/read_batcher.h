@@ -116,7 +116,10 @@ class ReadBatcher {
     /** @p r's successor; nullptr at the end (TC: after closing the queue). */
     Read *successor(Read *r);
 
-    /** One device submission; a rejected request fails to its handler. */
+    /**
+     * One device submission. A malformed read, which would make the
+     * device reject the whole batch, fails to its handler instead.
+     */
     void submit(std::span<const io::IoRequest> batch);
 
     /** Completion of @p r: retry a transient error, else onRead. */

@@ -28,6 +28,26 @@
 namespace prism::core {
 namespace {
 
+/**
+ * Extra service time the in-flight test pins on every read: 2 ms. The
+ * device's 32 channels then drain one read every 64 us, and a native
+ * build issues a get in a few. ThreadSanitizer makes issuing one get
+ * cost 33-55 us, so at 2 ms its queue barely grows and the check fails
+ * there on the old read path as well; a TSan build pins 20 ms instead.
+ */
+#if defined(__SANITIZE_THREAD__)
+#define PRISM_ASYNC_TEST_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define PRISM_ASYNC_TEST_TSAN 1
+#endif
+#endif
+#ifdef PRISM_ASYNC_TEST_TSAN
+constexpr uint64_t kPinnedReadLatencyNs = 20'000'000;
+#else
+constexpr uint64_t kPinnedReadLatencyNs = 2'000'000;
+#endif
+
 struct TestStore {
     std::shared_ptr<sim::NvmDevice> nvm;
     std::shared_ptr<pmem::PmemRegion> region;
@@ -106,11 +126,10 @@ TEST(AsyncApi, CallbackFiresWithCompletionStatus)
  * The tentpole claim: one thread, hundreds of gets in flight at once.
  * Timed devices with the SVC off (so every get actually goes to the
  * device); all values are pushed out of the PWBs first, and the
- * "ssd.<n>.latency" fault site pins service time at 20 ms per read so
- * the measurement is deterministic, also under ThreadSanitizer, where
- * issuing one get takes about 17 us and a 2 ms window held only 88-122
- * gets. The peak of asyncInflight() while the issue loop runs must
- * reach 128 — a blocking caller would never exceed 1.
+ * "ssd.<n>.latency" fault site pins service time at 2 ms per read
+ * (kPinnedReadLatencyNs) so the measurement is deterministic. The peak
+ * of asyncInflight() while the issue loop runs must reach 128 — a
+ * blocking caller would never exceed 1.
  */
 TEST(AsyncApi, SustainsManyInflightGetsFromOneThread)
 {
@@ -125,7 +144,7 @@ TEST(AsyncApi, SustainsManyInflightGetsFromOneThread)
     fault::FaultSpec slow;
     slow.trigger = fault::Trigger::kEvery;
     slow.n = 1;
-    slow.payload = 20'000'000;  // +20 ms service latency per request
+    slow.payload = kPinnedReadLatencyNs;  // extra service time per read
     freg.arm("ssd." + std::to_string(ts.ssds[0]->deviceNumber()) +
                  ".latency",
              slow);
@@ -137,7 +156,8 @@ TEST(AsyncApi, SustainsManyInflightGetsFromOneThread)
         futures.push_back(ts.db->asyncGet(k));
         peak = std::max(peak, ts.db->asyncInflight());
     }
-    EXPECT_GE(peak, 128u) << "async gets are not overlapping";
+    EXPECT_GE(peak, 128u) << "async gets are not overlapping (peak "
+                          << peak << ")";
     freg.disarmAll();
 
     for (uint64_t k = 0; k < kKeys; k++) {

@@ -505,6 +505,47 @@ TEST(ValueStorageTest, GcRelocatesLiveValues)
 
 class ReadBatcherTest : public ::testing::TestWithParam<ReadBatchMode> {};
 
+/** An 8 MB SSD whose first 256 4 KB blocks hold their own index. */
+std::shared_ptr<sim::SsdDevice>
+stampedSsd()
+{
+    auto ssd = std::make_shared<sim::SsdDevice>(
+        8 << 20, sim::kSamsung980ProProfile, /*timing=*/false);
+    for (uint64_t b = 0; b < 256; b++) {
+        std::vector<uint64_t> block(512, b);
+        ssd->writeSync(b * 4096, block.data(), 4096);
+    }
+    return ssd;
+}
+
+/** Hands a device's completions to their handlers, as ValueStorage does. */
+class CompletionThread {
+  public:
+    explicit CompletionThread(io::IoBackend &device)
+        : thread_([this, &device] {
+              std::vector<io::IoCompletion> done;
+              while (!stop_.load()) {
+                  done.clear();
+                  device.waitCompletions(done, 64, 100);
+                  for (const auto &c : done)
+                      reinterpret_cast<AsyncIoHandler *>(c.user_data)
+                          ->onIoComplete(c.status);
+              }
+          })
+    {
+    }
+
+    ~CompletionThread()
+    {
+        stop_.store(true);
+        thread_.join();
+    }
+
+  private:
+    std::atomic<bool> stop_{false};
+    std::thread thread_;
+};
+
 /**
  * A 4 KB read of one stamped block. Waited reads live on their issuer's
  * stack and raise `done`; fire-and-forget reads free themselves.
@@ -513,11 +554,14 @@ struct BlockRead : ReadBatcher::Read {
     uint64_t block = 0;
     std::vector<uint64_t> data = std::vector<uint64_t>(512);
     std::atomic<int> *completions = nullptr;  ///< this request's count
+    std::atomic<int> *failed = nullptr;       ///< the round's failures
     bool fire_and_forget = false;
     std::atomic<uint32_t> done{0};
 
-    BlockRead(uint64_t b, std::atomic<int> *count, bool forget)
-        : block(b), completions(count), fire_and_forget(forget)
+    BlockRead(uint64_t b, std::atomic<int> *count, std::atomic<int> *fails,
+              bool forget)
+        : block(b), completions(count), failed(fails),
+          fire_and_forget(forget)
     {
         req.offset = b * 4096;
         req.length = 4096;
@@ -527,12 +571,14 @@ struct BlockRead : ReadBatcher::Read {
     void
     onRead(const Status &st) override
     {
-        // A read whose retries all met injected errors reports one.
         if (st.isOk()) {
             EXPECT_EQ(data[0], block);
             EXPECT_EQ(data[511], block);
         } else {
+            // Only a transient error that outlasted all three retries.
             EXPECT_EQ(st.code(), StatusCode::kIoError);
+            EXPECT_EQ(retries, 3) << "the queue gave up early";
+            failed->fetch_add(1);
         }
         completions->fetch_add(1);
         if (fire_and_forget) {
@@ -544,41 +590,20 @@ struct BlockRead : ReadBatcher::Read {
     }
 };
 
-TEST_P(ReadBatcherTest, ConcurrentReadsAllCorrect)
+/**
+ * 8 threads issue 500 reads each through @p batcher, every other one
+ * waited for and the rest fire-and-forget, and this returns once every
+ * request has completed (10 s at most). Counts each request's
+ * completions in @p completions and the failed reads in @p failed.
+ */
+void
+issueMixedReads(sim::SsdDevice &ssd, ReadBatcher &batcher,
+                std::vector<std::atomic<int>> &completions,
+                std::atomic<int> &failed)
 {
-    auto ssd = std::make_shared<sim::SsdDevice>(
-        8 << 20, sim::kSamsung980ProProfile, /*timing=*/false);
-    // Stamp each 4 KB block with its index.
-    for (uint64_t b = 0; b < 256; b++) {
-        std::vector<uint64_t> block(512, b);
-        ssd->writeSync(b * 4096, block.data(), 4096);
-    }
-    ReadBatcher batcher(*ssd, GetParam(), 16, 50);
-    // Every 10th request errors, so retries resubmit through the queue
-    // while issuers keep enqueueing.
-    auto &faults = fault::FaultRegistry::global();
-    fault::FaultSpec every10;
-    every10.trigger = fault::Trigger::kEvery;
-    every10.n = 10;
-    faults.arm("ssd." + std::to_string(ssd->deviceNumber()) + ".io_error",
-               every10);
-    const auto before = stats::StatsRegistry::global().snapshot();
-    // A completion thread, as ValueStorage runs one.
-    std::atomic<bool> stop{false};
-    std::thread completer([&] {
-        std::vector<io::IoCompletion> done;
-        while (!stop.load()) {
-            done.clear();
-            ssd->waitCompletions(done, 64, 100);
-            for (const auto &c : done)
-                reinterpret_cast<AsyncIoHandler *>(c.user_data)
-                    ->onIoComplete(c.status);
-        }
-    });
-
     constexpr int kThreads = 8;
     constexpr int kPerThread = 500;
-    std::vector<std::atomic<int>> completions(kThreads * kPerThread);
+    ASSERT_EQ(completions.size(), size_t{kThreads * kPerThread});
     std::vector<std::thread> issuers;
     for (int t = 0; t < kThreads; t++) {
         issuers.emplace_back([&, t] {
@@ -588,10 +613,10 @@ TEST_P(ReadBatcherTest, ConcurrentReadsAllCorrect)
                 std::atomic<int> *count = &completions[static_cast<size_t>(
                     t * kPerThread + i)];
                 if (i % 2 == 1) {
-                    batcher.enqueue(*new BlockRead(b, count, true));
+                    batcher.enqueue(*new BlockRead(b, count, &failed, true));
                     continue;
                 }
-                BlockRead read(b, count, false);
+                BlockRead read(b, count, &failed, false);
                 batcher.enqueue(read);
                 while (read.done.load(std::memory_order_acquire) == 0)
                     read.done.wait(0, std::memory_order_acquire);
@@ -605,22 +630,114 @@ TEST_P(ReadBatcherTest, ConcurrentReadsAllCorrect)
         for (const auto &c : completions)
             if (c.load() == 0)
                 return false;
-        return ssd->inflight() == 0;
+        return ssd.inflight() == 0;
     };
     for (int spin = 0; !all_done() && spin < 10000; spin++)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    stop.store(true);
-    completer.join();
-    faults.disarmAll();
     for (size_t i = 0; i < completions.size(); i++)
         ASSERT_EQ(completions[i].load(), 1) << "request " << i;
-    const auto after = stats::StatsRegistry::global().snapshot();
-    const uint64_t retries = after.counterDelta(before, "prism.vs.retries");
-    EXPECT_GT(retries, 0u);
-    const uint64_t requests =
-        after.counterDelta(before, "prism.tcq.requests");
-    EXPECT_EQ(requests, kThreads * kPerThread + retries);
-    EXPECT_LE(after.counterDelta(before, "prism.tcq.batches"), requests);
+}
+
+TEST_P(ReadBatcherTest, ConcurrentReadsAllCorrect)
+{
+    auto ssd = stampedSsd();
+    ReadBatcher batcher(*ssd, GetParam(), 16, 50);
+    CompletionThread completer(*ssd);
+    constexpr uint64_t kReads = 4000;
+    auto &reg = stats::StatsRegistry::global();
+
+    // Fault-free: every read succeeds with its block's data, once.
+    {
+        std::vector<std::atomic<int>> completions(kReads);
+        std::atomic<int> failed{0};
+        const auto before = reg.snapshot();
+        issueMixedReads(*ssd, batcher, completions, failed);
+        EXPECT_EQ(failed.load(), 0);
+        const auto after = reg.snapshot();
+        EXPECT_EQ(after.counterDelta(before, "prism.vs.retries"), 0u);
+        const uint64_t requests =
+            after.counterDelta(before, "prism.tcq.requests");
+        EXPECT_EQ(requests, kReads);
+        EXPECT_LE(after.counterDelta(before, "prism.tcq.batches"), requests);
+    }
+
+    // Every 10th request errors, so retries resubmit through the queue
+    // while issuers keep enqueueing. Each request still completes once,
+    // and a read fails only after its three retries.
+    {
+        auto &faults = fault::FaultRegistry::global();
+        fault::FaultSpec every10;
+        every10.trigger = fault::Trigger::kEvery;
+        every10.n = 10;
+        faults.arm("ssd." + std::to_string(ssd->deviceNumber()) +
+                       ".io_error",
+                   every10);
+        std::vector<std::atomic<int>> completions(kReads);
+        std::atomic<int> failed{0};
+        const auto before = reg.snapshot();
+        issueMixedReads(*ssd, batcher, completions, failed);
+        faults.disarmAll();
+        const auto after = reg.snapshot();
+        const uint64_t retries =
+            after.counterDelta(before, "prism.vs.retries");
+        EXPECT_GT(retries, 0u);
+        const uint64_t requests =
+            after.counterDelta(before, "prism.tcq.requests");
+        EXPECT_EQ(requests, kReads + retries);
+        EXPECT_LE(after.counterDelta(before, "prism.tcq.batches"), requests);
+    }
+}
+
+/**
+ * A chain with one malformed read (beyond the device): that read fails
+ * alone, without reaching the device, and the rest go on as one batch,
+ * which is all the TCQ counters count.
+ */
+TEST_P(ReadBatcherTest, MalformedReadFailsAlone)
+{
+    struct WaitedRead : ReadBatcher::Read {
+        std::vector<uint64_t> data = std::vector<uint64_t>(512);
+        Status status;
+        std::atomic<uint32_t> done{0};
+
+        void
+        onRead(const Status &st) override
+        {
+            status = st;
+            done.store(1, std::memory_order_release);
+            done.notify_all();
+        }
+    };
+    auto ssd = stampedSsd();
+    ReadBatcher batcher(*ssd, GetParam(), 16, 50);
+    CompletionThread completer(*ssd);
+    std::vector<WaitedRead> reads(4);
+    std::vector<ReadBatcher::Read *> chain;
+    for (size_t i = 0; i < reads.size(); i++) {
+        reads[i].req.offset = i == 2 ? ssd->capacity() : i * 4096;
+        reads[i].req.length = 4096;
+        reads[i].req.buf = reads[i].data.data();
+        chain.push_back(&reads[i]);
+    }
+    auto &reg = stats::StatsRegistry::global();
+    const auto before = reg.snapshot();
+    batcher.enqueue(chain);
+    for (auto &r : reads) {
+        while (r.done.load(std::memory_order_acquire) == 0)
+            r.done.wait(0, std::memory_order_acquire);
+    }
+    for (size_t i = 0; i < reads.size(); i++) {
+        if (i == 2) {
+            EXPECT_EQ(reads[i].status.code(), StatusCode::kInvalidArgument);
+            continue;
+        }
+        ASSERT_TRUE(reads[i].status.isOk()) << "read " << i;
+        EXPECT_EQ(reads[i].data[0], i);
+    }
+    const auto after = reg.snapshot();
+    EXPECT_EQ(after.counterDelta(before, "prism.tcq.batches"), 1u);
+    EXPECT_EQ(after.counterDelta(before, "prism.tcq.requests"), 3u);
+    EXPECT_EQ(after.counterDelta(before, "prism.vs.retries"), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, ReadBatcherTest,
