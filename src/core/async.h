@@ -33,7 +33,7 @@
  * thread completes the operation — the *caller* thread when the op
  * finishes in its synchronous prefix (NVM hit, SVC hit, immediate error),
  * otherwise a Value Storage completion thread, a background worker, or
- * the thread whose device submission rejected the op's read. Keep
+ * the read-queue thread that failed the op's read as malformed. Keep
  * callbacks short and non-blocking; they run inside the completion loop
  * that services every other in-flight I/O on that SSD.
  */

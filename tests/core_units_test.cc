@@ -541,6 +541,9 @@ class CompletionThread {
         thread_.join();
     }
 
+    CompletionThread(const CompletionThread &) = delete;
+    CompletionThread &operator=(const CompletionThread &) = delete;
+
   private:
     std::atomic<bool> stop_{false};
     std::thread thread_;
