@@ -162,12 +162,15 @@ main(int argc, char **argv)
         std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
     server.stop();
-    const auto li = server.info();
+    auto &reg = stats::StatsRegistry::global();
     std::fprintf(stderr,
                  "prism_server: served %llu commands over %llu "
                  "connections (%llu throttled)\n",
-                 static_cast<unsigned long long>(li.commands),
-                 static_cast<unsigned long long>(li.accepted),
-                 static_cast<unsigned long long>(li.throttled));
+                 static_cast<unsigned long long>(
+                     reg.counter("prism.server.commands").value()),
+                 static_cast<unsigned long long>(
+                     reg.counter("prism.server.accepted").value()),
+                 static_cast<unsigned long long>(
+                     reg.counter("prism.server.throttled").value()));
     return 0;
 }

@@ -29,12 +29,13 @@ grep -q "prism\.pwb\.appends" /tmp/prism_stats_smoke.txt || {
 }
 
 # Optional wire-level smoke (PRISM_VERIFY_SERVER=1): boot prism_server
-# on an ephemeral port, run the raw-socket conformance script, then a
-# short open-loop prism_loadgen burst — the local mirror of CI's
-# `server` job (docs/SERVER.md).
+# on an ephemeral port, run the raw-socket conformance script, check the
+# listener section of /healthz, run a short open-loop prism_loadgen
+# burst, and check the exit summary — the local mirror of CI's `server`
+# job (docs/SERVER.md).
 if [[ "${PRISM_VERIFY_SERVER:-0}" == "1" ]]; then
     SRV_OUT=$(mktemp) SRV_ERR=$(mktemp)
-    ./build/examples/prism_server --port=0 --obs-port=-1 \
+    ./build/examples/prism_server --port=0 --obs-port=0 \
         > "${SRV_OUT}" 2> "${SRV_ERR}" &
     SRV_PID=$!
     trap 'kill "${SRV_PID}" 2>/dev/null || true' EXIT
@@ -51,6 +52,12 @@ if [[ "${PRISM_VERIFY_SERVER:-0}" == "1" ]]; then
         exit 1
     }
     python3 scripts/resp_conformance.py "${PORT}"
+    OBS_PORT=$(grep -oam1 'ops endpoint at http://127.0.0.1:[0-9]*' \
+               "${SRV_OUT}" | grep -oE '[0-9]+$' || true)
+    curl -sf "127.0.0.1:${OBS_PORT}/healthz" | grep -q '"listener":{' || {
+        echo "verify.sh: /healthz has no listener section" >&2
+        exit 1
+    }
     ./build/bench/prism_loadgen --port="${PORT}" --load \
         --records=5000 --conns=2
     ./build/bench/prism_loadgen --port="${PORT}" --mix=c --rate=2000 \
@@ -58,5 +65,9 @@ if [[ "${PRISM_VERIFY_SERVER:-0}" == "1" ]]; then
     kill -TERM "${SRV_PID}"
     wait "${SRV_PID}"
     trap - EXIT
+    grep 'prism_server: served' "${SRV_ERR}" || {
+        echo "verify.sh: prism_server printed no exit summary" >&2
+        exit 1
+    }
 fi
 echo "verify.sh: OK"

@@ -1,28 +1,20 @@
 #include "common/obs_server.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cctype>
 #include <cerrno>
 #include <csignal>
 #include <cstdlib>
-#include <cstring>
 #include <ctime>
 #include <exception>
 #include <map>
-#include <mutex>
-#include <thread>
 #include <vector>
 
+#include "common/event_loop.h"
 #include "common/fault.h"
 #include "common/prof.h"
 #include "common/histogram.h"
@@ -300,43 +292,20 @@ defaultHealthReport()
     return r;
 }
 
-namespace {
-
-std::mutex g_listener_mu;
-std::function<std::string()> g_listener_info;
-
-}  // namespace
-
-void
-setListenerInfo(std::function<std::string()> fn)
-{
-    std::lock_guard<std::mutex> lock(g_listener_mu);
-    g_listener_info = std::move(fn);
-}
-
-std::string
-listenerInfoJson()
-{
-    std::function<std::string()> fn;
-    {
-        std::lock_guard<std::mutex> lock(g_listener_mu);
-        fn = g_listener_info;
-    }
-    return fn ? fn() : std::string();
-}
-
 // ---------------------------------------------------------------------
 // HTTP server
 // ---------------------------------------------------------------------
 
 namespace {
 
-struct Conn {
-    int fd = -1;
+/** Requests whose head exceeds this get a 431. */
+constexpr size_t kMaxRequestBytes = 8192;
+/** Concurrent clients beyond this are closed at accept. */
+constexpr size_t kMaxConnections = 32;
+
+/** One client: its request head; `close` once it is answered. */
+struct Conn final : net::EventLoop::Conn {
     std::string in;
-    std::string out;
-    size_t sent = 0;
-    bool writing = false;
 };
 
 std::string
@@ -392,27 +361,33 @@ constexpr char kIndexBody[] =
 
 }  // namespace
 
-struct ObsServer::Impl {
-    std::mutex mu;  // guards start/stop + callbacks swap
-    std::function<HealthReport()> health;
-    std::function<void()> metrics_prepare;
+struct ObsServer::Impl final : net::EventLoop::Handler {
+    const std::function<HealthReport()> health;
+    const std::function<void()> metrics_prepare;
 
-    Options opts;
-    int listen_fd = -1;
-    int wake_fd[2] = {-1, -1};  // self-pipe: [0] polled, [1] written
-    std::atomic<int> port{0};
-    std::atomic<bool> stop{false};
-    std::thread thread;
+    stats::StatsRegistry &reg = stats::StatsRegistry::global();
+    stats::Counter &requests = reg.counter("prism.obs.requests", "requests");
+    stats::Counter &scrapes = reg.counter("prism.obs.scrapes", "requests");
+    stats::Counter &errors = reg.counter("prism.obs.http_errors", "requests");
 
-    stats::Counter *requests = nullptr;
-    stats::Counter *scrapes = nullptr;
-    stats::Counter *errors = nullptr;
-    stats::Gauge *port_gauge = nullptr;
+    /** Declared last: destroyed (stopped) before the state above. */
+    net::EventLoop loop{*this};
 
+    Impl(std::function<HealthReport()> h, std::function<void()> prep)
+        : health(std::move(h)), metrics_prepare(std::move(prep))
+    {
+    }
+
+    std::unique_ptr<net::EventLoop::Conn>
+    open() override
+    {
+        return std::make_unique<Conn>();
+    }
+
+    void serve(net::EventLoop::Conn &c, std::string_view input) override;
     std::string handle(const std::string &target,
                        const std::string &query);
     std::string respond(const std::string &head);
-    void loop();
 };
 
 std::string
@@ -423,25 +398,15 @@ ObsServer::Impl::handle(const std::string &target,
         return httpResponse(200, "OK", "text/plain; charset=utf-8",
                             kIndexBody);
     if (target == "/metrics") {
-        scrapes->inc();
-        std::function<void()> prep;
-        {
-            std::lock_guard<std::mutex> lock(mu);
-            prep = metrics_prepare;
-        }
-        if (prep)
-            prep();
+        scrapes.inc();
+        if (metrics_prepare)
+            metrics_prepare();
         return httpResponse(
             200, "OK", "text/plain; version=0.0.4; charset=utf-8",
             renderPrometheus(stats::StatsRegistry::global().snapshot()));
     }
     if (target == "/healthz" || target == "/readyz") {
-        std::function<HealthReport()> fn;
-        {
-            std::lock_guard<std::mutex> lock(mu);
-            fn = health;
-        }
-        const HealthReport r = fn ? fn() : defaultHealthReport();
+        const HealthReport r = health ? health() : defaultHealthReport();
         const bool ok = target == "/healthz" ? r.healthy : r.ready;
         return httpResponse(ok ? 200 : 503,
                             ok ? "OK" : "Service Unavailable",
@@ -458,8 +423,8 @@ ObsServer::Impl::handle(const std::string &target,
         return httpResponse(200, "OK", "application/json",
                             trace::TraceRegistry::global().exportJson());
     if (target == "/pprof/profile") {
-        // Blocks this (single) server thread for the window: other
-        // scrapes queue behind it, which is fine for an ops endpoint.
+        // Blocks this server's loop for the window: other scrapes
+        // queue behind it, which is fine for an ops endpoint.
         const double seconds = queryDouble(query, "seconds", 5.0);
         const int hz = static_cast<int>(queryDouble(query, "hz", 0));
         return httpResponse(200, "OK", "text/plain; charset=utf-8",
@@ -469,7 +434,7 @@ ObsServer::Impl::handle(const std::string &target,
     if (target == "/pprof/contention")
         return httpResponse(200, "OK", "text/plain; charset=utf-8",
                             prof::renderContentionFolded());
-    errors->inc();
+    errors.inc();
     return httpResponse(404, "Not Found", "text/plain; charset=utf-8",
                         "unknown endpoint\n");
 }
@@ -477,7 +442,7 @@ ObsServer::Impl::handle(const std::string &target,
 std::string
 ObsServer::Impl::respond(const std::string &head)
 {
-    requests->inc();
+    requests.inc();
     // Request line: METHOD SP target SP HTTP/x.y CRLF
     const size_t eol = head.find("\r\n");
     const std::string line = head.substr(0, eol);
@@ -485,7 +450,7 @@ ObsServer::Impl::respond(const std::string &head)
     const size_t sp2 = line.rfind(' ');
     if (sp1 == std::string::npos || sp2 == sp1 ||
         line.compare(sp2 + 1, 5, "HTTP/") != 0) {
-        errors->inc();
+        errors.inc();
         return httpResponse(400, "Bad Request",
                             "text/plain; charset=utf-8",
                             "malformed request line\n");
@@ -493,7 +458,7 @@ ObsServer::Impl::respond(const std::string &head)
     const std::string method = line.substr(0, sp1);
     std::string target = line.substr(sp1 + 1, sp2 - sp1 - 1);
     if (method != "GET") {
-        errors->inc();
+        errors.inc();
         return httpResponse(405, "Method Not Allowed",
                             "text/plain; charset=utf-8",
                             "GET only\n");
@@ -508,103 +473,27 @@ ObsServer::Impl::respond(const std::string &head)
 }
 
 void
-ObsServer::Impl::loop()
+ObsServer::Impl::serve(net::EventLoop::Conn &base, std::string_view input)
 {
-    trace::TraceRegistry::global().setThreadName("prism-obs");
-    std::vector<Conn> conns;
-    while (!stop.load(std::memory_order_acquire)) {
-        std::vector<pollfd> pfds;
-        pfds.push_back({wake_fd[0], POLLIN, 0});
-        pfds.push_back({listen_fd, POLLIN, 0});
-        for (const auto &c : conns)
-            pfds.push_back(
-                {c.fd, static_cast<short>(c.writing ? POLLOUT : POLLIN),
-                 0});
-        // Connections accepted below are appended after this snapshot;
-        // they have no pfds entry and must wait for the next poll.
-        const size_t polled = conns.size();
-        if (::poll(pfds.data(), pfds.size(), -1) < 0) {
-            if (errno == EINTR)
-                continue;
-            break;
-        }
-        if (pfds[0].revents & POLLIN) {
-            char drain[64];
-            while (::read(wake_fd[0], drain, sizeof(drain)) > 0) {}
-        }
-        if (pfds[1].revents & POLLIN) {
-            for (;;) {
-                const int fd = ::accept4(listen_fd, nullptr, nullptr,
-                                         SOCK_NONBLOCK | SOCK_CLOEXEC);
-                if (fd < 0)
-                    break;
-                if (conns.size() >=
-                    static_cast<size_t>(opts.max_connections)) {
-                    ::close(fd);
-                    continue;
-                }
-                conns.push_back(Conn{fd, "", "", 0, false});
-            }
-        }
-        for (size_t i = 0; i < polled; i++) {
-            Conn &c = conns[i];
-            const pollfd &p = pfds[i + 2];
-            bool dead = (p.revents & (POLLERR | POLLHUP | POLLNVAL)) &&
-                        !c.writing;
-            if (!dead && !c.writing && (p.revents & POLLIN)) {
-                char buf[4096];
-                for (;;) {
-                    const ssize_t n = ::recv(c.fd, buf, sizeof(buf), 0);
-                    if (n > 0) {
-                        c.in.append(buf, static_cast<size_t>(n));
-                        continue;
-                    }
-                    if (n == 0)
-                        dead = c.in.find("\r\n\r\n") ==
-                               std::string::npos;
-                    break;  // n == 0 (EOF) or EAGAIN/error
-                }
-                if (c.in.size() > opts.max_request_bytes) {
-                    errors->inc();
-                    c.out = httpResponse(
-                        431, "Request Header Fields Too Large",
-                        "text/plain; charset=utf-8",
-                        "request too large\n");
-                    c.writing = true;
-                } else if (c.in.find("\r\n\r\n") != std::string::npos) {
-                    c.out = respond(c.in);
-                    c.writing = true;
-                }
-            }
-            if (!dead && c.writing) {
-                while (c.sent < c.out.size()) {
-                    const ssize_t n =
-                        ::send(c.fd, c.out.data() + c.sent,
-                               c.out.size() - c.sent, MSG_NOSIGNAL);
-                    if (n <= 0)
-                        break;
-                    c.sent += static_cast<size_t>(n);
-                }
-                if (c.sent >= c.out.size())
-                    dead = true;  // response fully flushed
-            }
-            if (dead) {
-                ::close(c.fd);
-                c.fd = -1;
-            }
-        }
-        conns.erase(std::remove_if(conns.begin(), conns.end(),
-                                   [](const Conn &c) {
-                                       return c.fd < 0;
-                                   }),
-                    conns.end());
+    Conn &c = static_cast<Conn &>(base);
+    if (c.close || input.empty())
+        return;  // answered (the rest is not read), or nothing new
+    c.in.append(input);
+    if (c.in.size() > kMaxRequestBytes) {
+        errors.inc();
+        c.out = httpResponse(431, "Request Header Fields Too Large",
+                             "text/plain; charset=utf-8",
+                             "request too large\n");
+        c.close = true;
+    } else if (c.in.find("\r\n\r\n") != std::string::npos) {
+        c.out = respond(c.in);
+        c.close = true;
     }
-    for (auto &c : conns)
-        ::close(c.fd);
 }
 
-ObsServer::ObsServer()
-    : impl_(new Impl)
+ObsServer::ObsServer(std::function<HealthReport()> health,
+                     std::function<void()> metrics_prepare)
+    : impl_(new Impl(std::move(health), std::move(metrics_prepare)))
 {
 }
 
@@ -614,99 +503,31 @@ ObsServer::~ObsServer()
     delete impl_;
 }
 
-void
-ObsServer::setHealthProvider(std::function<HealthReport()> fn)
-{
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    impl_->health = std::move(fn);
-}
-
-void
-ObsServer::setMetricsPrepare(std::function<void()> fn)
-{
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    impl_->metrics_prepare = std::move(fn);
-}
-
 bool
-ObsServer::start(const Options &opts, std::string *err)
+ObsServer::start(int port, std::string *err)
 {
-    PRISM_CHECK(!running());
-    impl_->opts = opts;
-    impl_->stop.store(false, std::memory_order_release);
-
-    auto &reg = stats::StatsRegistry::global();
-    impl_->requests = &reg.counter("prism.obs.requests", "requests");
-    impl_->scrapes = &reg.counter("prism.obs.scrapes", "requests");
-    impl_->errors = &reg.counter("prism.obs.http_errors", "requests");
-    impl_->port_gauge = &reg.gauge("prism.obs.port");
-
-    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK |
-                            SOCK_CLOEXEC, 0);
-    if (fd < 0) {
-        if (err)
-            *err = std::string("socket: ") + std::strerror(errno);
+    net::EventLoop::Config cfg;
+    cfg.port = port;
+    cfg.max_conns = kMaxConnections;
+    cfg.thread_name = "prism-obs";
+    cfg.meters.port = &impl_->reg.gauge("prism.obs.port");
+    if (!impl_->loop.start(cfg, err))
         return false;
-    }
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(opts.port));
-    if (::bind(fd, reinterpret_cast<sockaddr *>(&addr),
-               sizeof(addr)) < 0 ||
-        ::listen(fd, 16) < 0) {
-        if (err)
-            *err = std::string("bind/listen: ") + std::strerror(errno);
-        ::close(fd);
-        return false;
-    }
-    socklen_t len = sizeof(addr);
-    ::getsockname(fd, reinterpret_cast<sockaddr *>(&addr), &len);
-    if (::pipe2(impl_->wake_fd, O_NONBLOCK | O_CLOEXEC) != 0) {
-        if (err)
-            *err = std::string("pipe2: ") + std::strerror(errno);
-        ::close(fd);
-        return false;
-    }
-    impl_->listen_fd = fd;
-    impl_->port.store(ntohs(addr.sin_port), std::memory_order_release);
-    impl_->port_gauge->set(port());
-    impl_->thread = std::thread([this] { impl_->loop(); });
     PRISM_LOG_INFO("obs.server", "listening on http://127.0.0.1:%d",
-                   port());
+                   this->port());
     return true;
 }
 
 void
 ObsServer::stop()
 {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    if (!impl_->thread.joinable())
-        return;
-    impl_->stop.store(true, std::memory_order_release);
-    const char b = 1;
-    [[maybe_unused]] ssize_t n = ::write(impl_->wake_fd[1], &b, 1);
-    impl_->thread.join();
-    ::close(impl_->listen_fd);
-    ::close(impl_->wake_fd[0]);
-    ::close(impl_->wake_fd[1]);
-    impl_->listen_fd = impl_->wake_fd[0] = impl_->wake_fd[1] = -1;
-    impl_->port.store(0, std::memory_order_release);
-    impl_->port_gauge->set(0);
-}
-
-bool
-ObsServer::running() const
-{
-    return impl_->port.load(std::memory_order_acquire) != 0;
+    impl_->loop.stop();
 }
 
 int
 ObsServer::port() const
 {
-    return impl_->port.load(std::memory_order_acquire);
+    return impl_->loop.port();
 }
 
 // ---------------------------------------------------------------------

@@ -6,7 +6,8 @@
  * Three pieces, all built on the process-wide registries in
  * src/common:
  *
- *  1. ObsServer: a poll-based single-thread HTTP/1.1 listener serving
+ *  1. ObsServer: a single-thread HTTP/1.1 listener on its own
+ *     net::EventLoop (common/event_loop.h) serving
  *     GET /metrics (Prometheus text exposition of the stats registry),
  *     /healthz + /readyz (JSON with 200/503 semantics, fed by a
  *     caller-supplied HealthReport provider), /slowops, /telemetry
@@ -69,70 +70,38 @@ struct HealthReport {
 HealthReport defaultHealthReport();
 
 /**
- * Register (or clear, with nullptr) the process-wide listener-info
- * provider. When a network front-end (net::RespServer) is embedded, it
- * registers a callback returning a JSON object describing the listener
- * (port, connections, commands, ...); health reports append it as a
- * `"listener"` section so /healthz and `prism_cli top` show front-end
- * state next to store state. The callback is invoked from arbitrary
- * threads and must be cheap and thread-safe.
- */
-void setListenerInfo(std::function<std::string()> fn);
-
-/** The registered listener's JSON object, or "" when none. */
-std::string listenerInfoJson();
-
-/**
- * The HTTP ops listener. One background thread multiplexes the listen
- * socket and every client over poll(); requests are GET-only,
- * connection-per-request (Connection: close). Lifecycle is
- * start()/stop(); the destructor stops. Intended to be owned by the
- * store handle (core::ShardRouter), but self-contained enough
- * for tests to run standalone.
+ * The HTTP ops listener. One event-loop thread serves the listen
+ * socket and every client (at most 32); requests are GET-only, with a
+ * head of at most 8 KB (431 beyond), connection-per-request
+ * (Connection: close). Lifecycle is start()/stop(); the destructor
+ * stops. Intended to be owned by the store handle (core::ShardRouter),
+ * but self-contained enough for tests to run standalone.
  */
 class ObsServer {
   public:
-    struct Options {
-        /** TCP port; 0 binds an ephemeral port (see port()). */
-        int port = 0;
-        /** Reject requests whose head exceeds this (431). */
-        size_t max_request_bytes = 8192;
-        /** Concurrent client connections beyond which accepts are
-         *  immediately closed. */
-        int max_connections = 32;
-    };
-
-    ObsServer();
+    /**
+     * @p health backs /healthz + /readyz (unset → defaultHealthReport());
+     * @p metrics_prepare runs before every /metrics snapshot, for gauges
+     * computed on demand rather than maintained incrementally (e.g.
+     * ShardRouter::publishOccupancy). Both run on the server thread per
+     * request and must be cheap and thread-safe.
+     */
+    explicit ObsServer(std::function<HealthReport()> health = nullptr,
+                       std::function<void()> metrics_prepare = nullptr);
     ~ObsServer();
 
     ObsServer(const ObsServer &) = delete;
     ObsServer &operator=(const ObsServer &) = delete;
 
     /**
-     * Health callback behind /healthz + /readyz. Called on the server
-     * thread per request; must be cheap and thread-safe. Unset →
-     * defaultHealthReport().
+     * Bind 127.0.0.1:@p port (0 = ephemeral) + listen + spawn the
+     * server thread. Returns false (and fills @p err) on bind/listen
+     * failure or when already running.
      */
-    void setHealthProvider(std::function<HealthReport()> fn);
-
-    /**
-     * Hook run before every /metrics snapshot, for gauges that are
-     * computed on demand rather than maintained incrementally (e.g.
-     * ShardRouter::publishOccupancy). Same threading rules as above.
-     */
-    void setMetricsPrepare(std::function<void()> fn);
-
-    /**
-     * Bind + listen + spawn the server thread. Returns false (and
-     * fills @p err) on bind/listen failure; start on a running server
-     * is an error.
-     */
-    bool start(const Options &opts, std::string *err);
+    bool start(int port, std::string *err);
 
     /** Stop the thread and close every socket. Idempotent. */
     void stop();
-
-    bool running() const;
 
     /** Bound TCP port while running (resolves port 0), else 0. */
     int port() const;

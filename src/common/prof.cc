@@ -630,10 +630,8 @@ Profiler::publishStats() const
 }
 
 int
-resolveHz(int option_value)
+resolveHz()
 {
-    if (option_value > 0)
-        return option_value;
     if (const char *env = std::getenv("PRISM_PROF_HZ");
         env != nullptr && *env != '\0')
         return std::atoi(env);

@@ -197,12 +197,8 @@ class Profiler {
     std::atomic<int> hz_{0};
 };
 
-/**
- * Resolve an effective sampling rate from an options value: > 0 wins,
- * 0 defers to $PRISM_PROF_HZ, and 0 comes back when neither asks for
- * sampling.
- */
-int resolveHz(int option_value);
+/** The sampling rate $PRISM_PROF_HZ asks for; 0 when unset. */
+int resolveHz();
 
 // ---------------------------------------------------------------------
 // Lock-contention profiler

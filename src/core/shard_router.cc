@@ -86,6 +86,10 @@ ShardRouter::ShardRouter(const PrismOptions &opts,
     pool_ = std::make_shared<BgPool>(opts_.bg_workers);
 
     auto &reg = stats::StatsRegistry::global();
+    reg_pwb_used_ = &reg.gauge("prism.pwb.used_bytes", "bytes");
+    reg_pwb_cap_ = &reg.gauge("prism.pwb.capacity_bytes", "bytes");
+    reg_svc_used_ = &reg.gauge("prism.svc.used_bytes", "bytes");
+    reg_svc_cap_ = &reg.gauge("prism.svc.capacity_bytes", "bytes");
     reg_shard_ops_.resize(n);
     reg_shard_keys_.resize(n);
     shards_.reserve(n);
@@ -117,24 +121,22 @@ ShardRouter::ShardRouter(const PrismOptions &opts,
     }
     // $PRISM_PROF_HZ arms the profiler; unset (the default) keeps it
     // entirely off — no timers, no rings.
-    if (const int hz = prof::resolveHz(0); hz > 0)
+    if (const int hz = prof::resolveHz(); hz > 0)
         prof_started_ = prof::Profiler::global().start(hz);
 
     // HTTP ops endpoint: one listener for all shards, with health
     // summed over every shard's device slice.
     const int obs_port = obs::resolveObsPort(opts_.obs_port);
     if (obs_port >= 0) {
-        obs_ = std::make_unique<obs::ObsServer>();
-        obs_->setMetricsPrepare([this] {
-            publishOccupancy();
-            trace::TraceRegistry::global().publishStats();
-            prof::Profiler::global().publishStats();
-        });
-        obs_->setHealthProvider([this] { return healthReport(); });
-        obs::ObsServer::Options oo;
-        oo.port = obs_port;
+        obs_ = std::make_unique<obs::ObsServer>(
+            [this] { return healthReport(); },
+            [this] {
+                publishOccupancy();
+                trace::TraceRegistry::global().publishStats();
+                prof::Profiler::global().publishStats();
+            });
         std::string err;
-        if (!obs_->start(oo, &err)) {
+        if (!obs_->start(obs_port, &err)) {
             PRISM_LOG_WARN("obs.server", "ops endpoint disabled: %s",
                            err.c_str());
             obs_.reset();
@@ -176,11 +178,10 @@ ShardRouter::publishOccupancy()
         svc_used += s.svc().usedBytes();
         svc_cap += s.svc().capacityBytes();
     }
-    auto &reg = stats::StatsRegistry::global();
-    reg.gauge("prism.pwb.used_bytes", "bytes").set(pwb_used);
-    reg.gauge("prism.pwb.capacity_bytes", "bytes").set(pwb_cap);
-    reg.gauge("prism.svc.used_bytes", "bytes").set(svc_used);
-    reg.gauge("prism.svc.capacity_bytes", "bytes").set(svc_cap);
+    reg_pwb_used_->set(pwb_used);
+    reg_pwb_cap_->set(pwb_cap);
+    reg_svc_used_->set(svc_used);
+    reg_svc_cap_->set(svc_cap);
 }
 
 ErrorBudget
@@ -234,11 +235,22 @@ ShardRouter::healthReport() const
         prof::Profiler::global().running()
             ? prof::Profiler::global().hz() : 0);
     r.json = buf;
-    // When a network front-end is embedded its listener registers a
-    // JSON provider; splice it in so /healthz shows listener state.
-    if (std::string lj = obs::listenerInfoJson(); !lj.empty()) {
+    // A RESP front-end in this process (net::RespServer) keeps its
+    // listener state in the registry; its port gauge is non-zero only
+    // while it listens. `prism_cli top` reads the same values.
+    auto &reg = stats::StatsRegistry::global();
+    if (const int64_t port = reg.gauge("prism.server.port").value()) {
+        std::string l = ",\"listener\":{\"proto\":\"resp\",\"port\":" +
+                        std::to_string(port);
+        const auto add = [&](const char *field, auto v) {
+            l += std::string(",\"") + field + "\":" + std::to_string(v);
+        };
+        for (const char *f : {"connections", "inflight", "tenants"})
+            add(f, reg.gauge(std::string("prism.server.") + f).value());
+        for (const char *f : {"accepted", "commands", "throttled"})
+            add(f, reg.counter(std::string("prism.server.") + f).value());
         r.json.pop_back();
-        r.json += ",\"listener\":" + lj + "}";
+        r.json += l + "}}";
     }
     return r;
 }

@@ -270,6 +270,11 @@ class ShardRouter {
     /** Per-shard routed-op counters / key gauges (prism.shard.<n>.*). */
     std::vector<stats::Counter *> reg_shard_ops_;
     std::vector<stats::Gauge *> reg_shard_keys_;
+    /** The occupancy sums publishOccupancy() sets. */
+    stats::Gauge *reg_pwb_used_ = nullptr;
+    stats::Gauge *reg_pwb_cap_ = nullptr;
+    stats::Gauge *reg_svc_used_ = nullptr;
+    stats::Gauge *reg_svc_cap_ = nullptr;
 
     /** Router-level async scans on the pool; drained by the dtor. */
     std::atomic<uint64_t> async_scan_inflight_{0};

@@ -1,36 +1,27 @@
 #include "net/resp_server.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <cctype>
-#include <cerrno>
-#include <cstring>
 #include <deque>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/event_loop.h"
 #include "common/log.h"
 #include "common/logging.h"
-#include "common/obs_server.h"
 #include "common/stats.h"
 #include "common/token_bucket.h"
-#include "common/trace.h"
 
 namespace prism::net {
 
 namespace {
+
+/** Per-connection unsent-reply high-water mark (backpressure). */
+constexpr size_t kOutHwmBytes = 4u << 20;
 
 /** Strict decimal uint64 (wire keys, cursors, counts). */
 bool
@@ -121,37 +112,26 @@ struct Pending {
     }
 };
 
-struct Conn {
-    int fd = -1;
+/** One client; its `close` is set by QUIT or a protocol error. */
+struct Conn final : EventLoop::Conn {
     RespParser parser;
     std::deque<std::unique_ptr<Pending>> pipeline;
-    std::string out;
-    size_t sent = 0;
     TenantState *tenant = nullptr;  ///< AUTH-selected namespace
-    bool close_after_flush = false; ///< QUIT / protocol error / EOF
-    bool dead = false;
-
-    explicit Conn(int f, RespLimits limits) : fd(f), parser(limits) {}
+    bool paused = false;            ///< reads paused by backpressure
 };
 
 }  // namespace
 
-struct RespServer::Impl {
+struct RespServer::Impl final : EventLoop::Handler {
     ycsb::KvStore &store;
     Options opts;
-
-    std::mutex mu;  ///< guards start/stop
-    int listen_fd = -1;
-    int wake_fd[2] = {-1, -1};
-    std::atomic<int> bound_port{0};
-    std::atomic<bool> stopping{false};
-    std::thread thread;
     uint64_t start_ns = 0;
+    std::vector<std::string> args;  ///< loop thread: the command parsed
 
     /**
      * Store operations issued but not yet completed. Completion
-     * callbacks hold a raw Impl*, so stop() drains this to zero before
-     * the wake pipe (and the Impl) can go away.
+     * callbacks hold a raw Impl* and call loop.wake(), so stop() drains
+     * this to zero before the Impl (and the loop's eventfd) can go away.
      */
     std::atomic<uint64_t> store_inflight{0};
 
@@ -160,23 +140,49 @@ struct RespServer::Impl {
     std::map<std::string, uint64_t> quota_overrides;
     uint16_t next_tenant_id = 1;
 
-    stats::Counter *c_accepted = nullptr;
-    stats::Counter *c_rejected = nullptr;
-    stats::Counter *c_commands = nullptr;
-    stats::Counter *c_throttled = nullptr;
-    stats::Counter *c_parse_errors = nullptr;
-    stats::Counter *c_bytes_in = nullptr;
-    stats::Counter *c_bytes_out = nullptr;
-    stats::Counter *c_backpressure = nullptr;
-    stats::Gauge *g_connections = nullptr;
-    stats::Gauge *g_port = nullptr;
-    stats::Gauge *g_inflight = nullptr;
-    stats::Gauge *g_tenants = nullptr;
+    stats::StatsRegistry &reg = stats::StatsRegistry::global();
+    /** The listener's facts, which the loop keeps. */
+    const EventLoop::Meters meters{
+        .port = &reg.gauge("prism.server.port"),
+        .connections = &reg.gauge("prism.server.connections"),
+        .accepted = &reg.counter("prism.server.accepted", "conns"),
+        .rejected = &reg.counter("prism.server.rejected", "conns"),
+        .bytes_in = &reg.counter("prism.server.bytes_in", "bytes"),
+        .bytes_out = &reg.counter("prism.server.bytes_out", "bytes")};
+    stats::Counter *c_commands =
+        &reg.counter("prism.server.commands", "requests");
+    stats::Counter *c_throttled =
+        &reg.counter("prism.server.throttled", "requests");
+    stats::Counter *c_parse_errors =
+        &reg.counter("prism.server.parse_errors", "requests");
+    stats::Counter *c_backpressure =
+        &reg.counter("prism.server.backpressure", "events");
+    stats::Gauge *g_inflight = &reg.gauge("prism.server.inflight");
+    stats::Gauge *g_tenants = &reg.gauge("prism.server.tenants");
+
+    /** Declared last: destroyed (stopped) before the state above. */
+    EventLoop loop{*this};
 
     explicit Impl(ycsb::KvStore &s) : store(s) {}
 
-    void loop();
-    void wakeLoop();
+    std::unique_ptr<EventLoop::Conn>
+    open() override
+    {
+        return std::make_unique<Conn>();
+    }
+
+    void serve(EventLoop::Conn &c, std::string_view input) override;
+    bool wantsInput(EventLoop::Conn &c) override;
+
+    bool
+    busy(const EventLoop::Conn &c) const override
+    {
+        // A connection with commands in flight stays open, even dead:
+        // Pending futures are only safe to destroy on this thread once
+        // their completions have run, and flush() drains them in order.
+        return !static_cast<const Conn &>(c).pipeline.empty();
+    }
+
     core::AsyncCallback completionCb();
 
     TenantState *tenantByName(std::string_view name);
@@ -187,27 +193,19 @@ struct RespServer::Impl {
     void flush(Conn &c);
     void render(Conn &c, Pending &p);
     std::string renderInfo();
-    std::string listenerJson();
 };
-
-void
-RespServer::Impl::wakeLoop()
-{
-    const char b = 1;
-    [[maybe_unused]] ssize_t n = ::write(wake_fd[1], &b, 1);
-}
 
 core::AsyncCallback
 RespServer::Impl::completionCb()
 {
     // Runs on whichever thread completes the op (often a Value-Storage
-    // completion thread). It must not touch any Conn/Pending fields —
-    // readiness is read from the future's own shared state — so its
-    // whole job is waking the loop. The inflight decrement comes AFTER
-    // the wake write: stop() keeps the pipe open until inflight hits
-    // zero, which makes the write always safe.
+    // completion thread; the loop thread itself for an inline hit). It
+    // must not touch any Conn/Pending fields — readiness is read from
+    // the future's own shared state — so its whole job is waking the
+    // loop. The inflight decrement comes AFTER the wake: stop() keeps
+    // the Impl and the loop's eventfd alive until inflight hits zero.
     return [this](const Status &) {
-        wakeLoop();
+        loop.wake();
         g_inflight->sub(1);
         store_inflight.fetch_sub(1, std::memory_order_release);
     };
@@ -372,7 +370,7 @@ RespServer::Impl::renderInfo()
     s += "# Server\r\n";
     std::snprintf(line, sizeof(line), "prism_version:net-1\r\n"
                   "tcp_port:%d\r\n",
-                  bound_port.load(std::memory_order_acquire));
+                  loop.port());
     s += line;
     std::snprintf(line, sizeof(line), "uptime_in_seconds:%llu\r\n",
                   static_cast<unsigned long long>(
@@ -382,21 +380,21 @@ RespServer::Impl::renderInfo()
     std::snprintf(line, sizeof(line),
                   "connected_clients:%lld\r\n"
                   "inflight_commands:%lld\r\n",
-                  static_cast<long long>(g_connections->value()),
+                  static_cast<long long>(meters.connections->value()),
                   static_cast<long long>(g_inflight->value()));
     s += line;
     s += "# Stats\r\n";
     std::snprintf(line, sizeof(line),
                   "total_connections_received:%llu\r\n"
                   "total_commands_processed:%llu\r\n",
-                  static_cast<unsigned long long>(c_accepted->value()),
+                  static_cast<unsigned long long>(meters.accepted->value()),
                   static_cast<unsigned long long>(c_commands->value()));
     s += line;
     std::snprintf(line, sizeof(line),
                   "total_net_input_bytes:%llu\r\n"
                   "total_net_output_bytes:%llu\r\n",
-                  static_cast<unsigned long long>(c_bytes_in->value()),
-                  static_cast<unsigned long long>(c_bytes_out->value()));
+                  static_cast<unsigned long long>(meters.bytes_in->value()),
+                  static_cast<unsigned long long>(meters.bytes_out->value()));
     s += line;
     std::snprintf(line, sizeof(line),
                   "throttled_commands:%llu\r\n"
@@ -419,25 +417,6 @@ RespServer::Impl::renderInfo()
         s += line;
     }
     return s;
-}
-
-std::string
-RespServer::Impl::listenerJson()
-{
-    char buf[256];
-    std::snprintf(
-        buf, sizeof(buf),
-        "{\"proto\":\"resp\",\"port\":%d,\"connections\":%lld,"
-        "\"accepted\":%llu,\"commands\":%llu,\"inflight\":%lld,"
-        "\"throttled\":%llu,\"tenants\":%lld}",
-        bound_port.load(std::memory_order_acquire),
-        static_cast<long long>(g_connections->value()),
-        static_cast<unsigned long long>(c_accepted->value()),
-        static_cast<unsigned long long>(c_commands->value()),
-        static_cast<long long>(g_inflight->value()),
-        static_cast<unsigned long long>(c_throttled->value()),
-        static_cast<long long>(g_tenants->value()));
-    return buf;
 }
 
 void
@@ -510,7 +489,7 @@ RespServer::Impl::dispatch(Conn &c, std::vector<std::string> &args)
         inlineReply(appendBulk, renderInfo());
     } else if (cmd == "QUIT") {
         inlineReply(appendSimple, "OK");
-        c.close_after_flush = true;
+        c.close = true;
     } else if (cmd == "SET") {
         uint64_t key;
         std::string err;
@@ -614,179 +593,54 @@ RespServer::Impl::flush(Conn &c)
 }
 
 void
-RespServer::Impl::loop()
+RespServer::Impl::serve(EventLoop::Conn &base, std::string_view input)
 {
-    trace::TraceRegistry::global().setThreadName("prism-resp");
-    std::vector<std::unique_ptr<Conn>> conns;
-    std::vector<std::string> args;
-    while (!stopping.load(std::memory_order_acquire)) {
-        std::vector<pollfd> pfds;
-        pfds.push_back({wake_fd[0], POLLIN, 0});
-        pfds.push_back({listen_fd, POLLIN, 0});
-        for (const auto &c : conns) {
-            short ev = 0;
-            const bool backpressured =
-                c->pipeline.size() >=
-                    static_cast<size_t>(opts.inflight_cap) ||
-                c->out.size() - c->sent > opts.out_hwm_bytes;
-            if (!c->close_after_flush && !backpressured)
-                ev |= POLLIN;
-            if (c->sent < c->out.size())
-                ev |= POLLOUT;
-            pfds.push_back({c->fd, ev, 0});
-        }
-        const size_t polled = conns.size();
-        if (::poll(pfds.data(), pfds.size(), -1) < 0) {
-            if (errno == EINTR)
+    Conn &c = static_cast<Conn &>(base);
+    if (!input.empty())
+        c.parser.feed(input);
+    const size_t cap = static_cast<size_t>(opts.inflight_cap);
+    // Dispatch / flush until neither makes progress: a flush can free
+    // pipeline slots that let buffered pipelined commands dispatch,
+    // which can complete inline and allow another flush.
+    bool progress = true;
+    while (progress) {
+        progress = false;
+        while (!c.close && c.pipeline.size() < cap) {
+            const ParseResult r = c.parser.next(&args);
+            if (r == ParseResult::kCommand) {
+                dispatch(c, args);
+                progress = true;
                 continue;
+            }
+            if (r == ParseResult::kError) {
+                // Framing is lost; answer what we can, then the error,
+                // then hang up.
+                c_parse_errors->inc();
+                auto p = std::make_unique<Pending>();
+                appendError(&p->reply, c.parser.error());
+                c.pipeline.push_back(std::move(p));
+                c.close = true;
+                progress = true;
+            }
             break;
         }
-        if (pfds[0].revents & POLLIN) {
-            char drain[256];
-            while (::read(wake_fd[0], drain, sizeof(drain)) > 0) {}
-        }
-        if (pfds[1].revents & POLLIN) {
-            for (;;) {
-                const int fd = ::accept4(listen_fd, nullptr, nullptr,
-                                         SOCK_NONBLOCK | SOCK_CLOEXEC);
-                if (fd < 0)
-                    break;
-                if (conns.size() >=
-                    static_cast<size_t>(opts.max_connections)) {
-                    c_rejected->inc();
-                    const char msg[] = "-ERR max connections reached\r\n";
-                    [[maybe_unused]] ssize_t n =
-                        ::send(fd, msg, sizeof(msg) - 1, MSG_NOSIGNAL);
-                    ::close(fd);
-                    continue;
-                }
-                const int one = 1;
-                ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one,
-                             sizeof(one));
-                c_accepted->inc();
-                conns.push_back(
-                    std::make_unique<Conn>(fd, opts.limits));
-                g_connections->set(
-                    static_cast<int64_t>(conns.size()));
-            }
-        }
-        for (size_t i = 0; i < conns.size(); i++) {
-            Conn &c = *conns[i];
-            const short rev = i < polled ? pfds[i + 2].revents : 0;
-            if (rev & (POLLERR | POLLNVAL))
-                c.dead = true;
-            bool eof = false;
-            if (!c.dead && (rev & (POLLIN | POLLHUP))) {
-                char buf[16384];
-                for (;;) {
-                    const ssize_t r = ::recv(c.fd, buf, sizeof(buf), 0);
-                    if (r > 0) {
-                        c_bytes_in->add(static_cast<uint64_t>(r));
-                        c.parser.feed(
-                            std::string_view(buf,
-                                             static_cast<size_t>(r)));
-                        continue;
-                    }
-                    if (r == 0)
-                        eof = true;
-                    else if (errno != EAGAIN && errno != EWOULDBLOCK &&
-                             errno != EINTR)
-                        c.dead = true;
-                    break;
-                }
-            }
-            // Dispatch / flush until neither makes progress: a flush
-            // can free pipeline slots that let buffered pipelined
-            // commands dispatch, which can complete inline and allow
-            // another flush.
-            bool progress = !c.dead;
-            while (progress) {
-                progress = false;
-                while (!c.close_after_flush &&
-                       c.pipeline.size() <
-                           static_cast<size_t>(opts.inflight_cap)) {
-                    const ParseResult r = c.parser.next(&args);
-                    if (r == ParseResult::kCommand) {
-                        dispatch(c, args);
-                        progress = true;
-                        continue;
-                    }
-                    if (r == ParseResult::kError) {
-                        // Framing is lost; answer what we can, then
-                        // the error, then hang up.
-                        c_parse_errors->inc();
-                        auto p = std::make_unique<Pending>();
-                        appendError(&p->reply, c.parser.error());
-                        c.pipeline.push_back(std::move(p));
-                        c.close_after_flush = true;
-                        progress = true;
-                    }
-                    break;
-                }
-                const size_t before = c.pipeline.size();
-                flush(c);
-                progress = progress || c.pipeline.size() != before;
-            }
-            if (!c.dead && c.sent < c.out.size()) {
-                while (c.sent < c.out.size()) {
-                    const ssize_t r =
-                        ::send(c.fd, c.out.data() + c.sent,
-                               c.out.size() - c.sent, MSG_NOSIGNAL);
-                    if (r > 0) {
-                        c_bytes_out->add(static_cast<uint64_t>(r));
-                        c.sent += static_cast<size_t>(r);
-                        continue;
-                    }
-                    if (errno != EAGAIN && errno != EWOULDBLOCK &&
-                        errno != EINTR)
-                        c.dead = true;
-                    break;
-                }
-                if (c.sent >= c.out.size()) {
-                    c.out.clear();
-                    c.sent = 0;
-                }
-            }
-            // EOF: the client will send nothing more. Finish writing
-            // whatever is still owed (pipelined requests already
-            // received), then close.
-            if (eof)
-                c.close_after_flush = true;
-            if (c.close_after_flush && c.pipeline.empty() &&
-                c.sent >= c.out.size())
-                c.dead = true;
-            // A connection dying with commands in flight must wait for
-            // them: Pending futures are only safe to destroy on this
-            // thread once their completions have run, and the flush
-            // above drains them in order.
-            if (c.dead && !c.pipeline.empty())
-                c.dead = false, c.close_after_flush = true;
-        }
-        const size_t live_before = conns.size();
-        conns.erase(std::remove_if(conns.begin(), conns.end(),
-                                   [](const auto &c) {
-                                       if (!c->dead)
-                                           return false;
-                                       ::close(c->fd);
-                                       return true;
-                                   }),
-                    conns.end());
-        if (conns.size() != live_before)
-            g_connections->set(static_cast<int64_t>(conns.size()));
+        const size_t before = c.pipeline.size();
+        flush(c);
+        progress = progress || c.pipeline.size() != before;
     }
-    // Stop: connections are dropped without waiting for their replies,
-    // but in-flight store ops are awaited (stop() handles the drain).
-    for (auto &c : conns) {
-        while (!c->pipeline.empty()) {
-            if (!c->pipeline.front()->ready()) {
-                std::this_thread::yield();
-                continue;
-            }
-            c->pipeline.pop_front();
-        }
-        ::close(c->fd);
-    }
-    g_connections->set(0);
+}
+
+bool
+RespServer::Impl::wantsInput(EventLoop::Conn &base)
+{
+    Conn &c = static_cast<Conn &>(base);
+    const bool full =
+        c.pipeline.size() >= static_cast<size_t>(opts.inflight_cap) ||
+        c.unsent() > kOutHwmBytes;
+    if (full && !c.paused)
+        c_backpressure->inc();
+    c.paused = full;
+    return !full;
 }
 
 RespServer::RespServer(ycsb::KvStore &store)
@@ -803,28 +657,9 @@ RespServer::~RespServer()
 bool
 RespServer::start(const Options &opts, std::string *err)
 {
-    PRISM_CHECK(!running());
+    PRISM_CHECK(port() == 0);
     impl_->opts = opts;
-    impl_->stopping.store(false, std::memory_order_release);
     impl_->start_ns = nowNs();
-
-    auto &reg = stats::StatsRegistry::global();
-    impl_->c_accepted = &reg.counter("prism.server.accepted", "conns");
-    impl_->c_rejected = &reg.counter("prism.server.rejected", "conns");
-    impl_->c_commands =
-        &reg.counter("prism.server.commands", "requests");
-    impl_->c_throttled =
-        &reg.counter("prism.server.throttled", "requests");
-    impl_->c_parse_errors =
-        &reg.counter("prism.server.parse_errors", "requests");
-    impl_->c_bytes_in = &reg.counter("prism.server.bytes_in", "bytes");
-    impl_->c_bytes_out = &reg.counter("prism.server.bytes_out", "bytes");
-    impl_->c_backpressure =
-        &reg.counter("prism.server.backpressure", "events");
-    impl_->g_connections = &reg.gauge("prism.server.connections");
-    impl_->g_port = &reg.gauge("prism.server.port");
-    impl_->g_inflight = &reg.gauge("prism.server.inflight");
-    impl_->g_tenants = &reg.gauge("prism.server.tenants");
 
     // Parse "name=rate,name=rate" quota overrides, and pre-register
     // the named tenants so INFO shows them before their first request.
@@ -853,48 +688,15 @@ RespServer::start(const Options &opts, std::string *err)
     for (const auto &[name, rate] : impl_->quota_overrides)
         impl_->tenantByName(name);
 
-    const int fd = ::socket(AF_INET,
-                            SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
-                            0);
-    if (fd < 0) {
-        if (err)
-            *err = std::string("socket: ") + std::strerror(errno);
+    EventLoop::Config cfg;
+    cfg.bind_addr = opts.bind_addr;
+    cfg.port = opts.port;
+    cfg.max_conns = static_cast<size_t>(opts.max_connections);
+    cfg.refusal = "-ERR max connections reached\r\n";
+    cfg.thread_name = "prism-resp";
+    cfg.meters = impl_->meters;
+    if (!impl_->loop.start(cfg, err))
         return false;
-    }
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(opts.port));
-    if (::inet_pton(AF_INET, opts.bind_addr.c_str(),
-                    &addr.sin_addr) != 1) {
-        if (err)
-            *err = "bad bind address: " + opts.bind_addr;
-        ::close(fd);
-        return false;
-    }
-    if (::bind(fd, reinterpret_cast<sockaddr *>(&addr), sizeof(addr)) <
-            0 ||
-        ::listen(fd, 512) < 0) {
-        if (err)
-            *err = std::string("bind/listen: ") + std::strerror(errno);
-        ::close(fd);
-        return false;
-    }
-    socklen_t len = sizeof(addr);
-    ::getsockname(fd, reinterpret_cast<sockaddr *>(&addr), &len);
-    if (::pipe2(impl_->wake_fd, O_NONBLOCK | O_CLOEXEC) != 0) {
-        if (err)
-            *err = std::string("pipe2: ") + std::strerror(errno);
-        ::close(fd);
-        return false;
-    }
-    impl_->listen_fd = fd;
-    impl_->bound_port.store(ntohs(addr.sin_port),
-                            std::memory_order_release);
-    impl_->g_port->set(port());
-    obs::setListenerInfo([impl = impl_] { return impl->listenerJson(); });
-    impl_->thread = std::thread([this] { impl_->loop(); });
     PRISM_LOG_INFO("net.server",
                    "RESP listening on %s:%d (inflight cap %d, "
                    "max conns %d)",
@@ -906,54 +708,18 @@ RespServer::start(const Options &opts, std::string *err)
 void
 RespServer::stop()
 {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    if (!impl_->thread.joinable())
-        return;
-    obs::setListenerInfo(nullptr);
-    impl_->stopping.store(true, std::memory_order_release);
-    impl_->wakeLoop();
-    impl_->thread.join();
+    impl_->loop.stop();
     // The loop has drained every connection's pipeline, but a
-    // completion callback may still be between its wake write and its
-    // inflight decrement; the wake pipe stays open until all are out.
+    // completion callback may still be between its wake() and its
+    // inflight decrement; the Impl stays alive until all are out.
     while (impl_->store_inflight.load(std::memory_order_acquire) != 0)
         std::this_thread::yield();
-    ::close(impl_->listen_fd);
-    ::close(impl_->wake_fd[0]);
-    ::close(impl_->wake_fd[1]);
-    impl_->listen_fd = impl_->wake_fd[0] = impl_->wake_fd[1] = -1;
-    impl_->bound_port.store(0, std::memory_order_release);
-    impl_->g_port->set(0);
-    impl_->g_inflight->set(0);
-}
-
-bool
-RespServer::running() const
-{
-    return impl_->bound_port.load(std::memory_order_acquire) != 0;
 }
 
 int
 RespServer::port() const
 {
-    return impl_->bound_port.load(std::memory_order_acquire);
-}
-
-RespServer::ListenerInfo
-RespServer::info() const
-{
-    ListenerInfo li;
-    li.port = port();
-    if (impl_->g_connections == nullptr)
-        return li;  // never started; counters unregistered
-    li.connections =
-        static_cast<int>(impl_->g_connections->value());
-    li.accepted = impl_->c_accepted->value();
-    li.commands = impl_->c_commands->value();
-    li.throttled = impl_->c_throttled->value();
-    li.inflight =
-        static_cast<uint64_t>(impl_->g_inflight->value());
-    return li;
+    return impl_->loop.port();
 }
 
 }  // namespace prism::net

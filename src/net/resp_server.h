@@ -4,10 +4,11 @@
  * item 2, "Prism as a network service").
  *
  * RespServer promotes a store to a network service: one event-loop
- * thread multiplexes every client connection over poll(), decodes the
- * RESP subset (GET/SET/DEL/MGET/SCAN/PING/ECHO/AUTH/INFO), and issues
- * each data command through the store's *asynchronous* API
- * (KvStore::asyncGet and friends, core/async.h). That coupling is the
+ * thread (net::EventLoop) multiplexes every client connection over
+ * poll(), decodes the RESP subset (GET/SET/DEL/MGET/SCAN/PING/ECHO/
+ * AUTH/INFO), and issues each data command through the store's
+ * *asynchronous* API (KvStore::asyncGet and friends, core/async.h).
+ * That coupling is the
  * point of the design: the loop never blocks on an SSD read — an
  * asyncGet that misses DRAM/NVM parks in the device queue while the
  * loop keeps serving other connections — so a single thread sustains
@@ -18,16 +19,18 @@
  * of commands without waiting. Each command gets a slot in the
  * connection's pipeline FIFO; async completions (which arrive in any
  * order, on Value-Storage completion threads) mark their slot done and
- * wake the loop via the self-pipe, and the loop flushes the longest
- * *done prefix* of the FIFO — so responses always come back in request
- * order, as RESP requires.
+ * wake the loop (EventLoop::wake: no syscall for a completion on the
+ * loop thread, at most one eventfd write per pending wake otherwise),
+ * and the loop flushes the longest *done prefix* of the FIFO — so
+ * responses always come back in request order, as RESP requires. A
+ * connection closes only when its pipeline is empty.
  *
  * Backpressure: a connection stops being read (its POLLIN is dropped)
  * while it has `inflight_cap` commands in its pipeline or more than
- * `out_hwm_bytes` of unsent replies. The kernel socket buffer then
- * fills, and the client's sends stall — the standard TCP backpressure
- * chain. This bounds per-connection memory no matter how aggressively
- * a client pipelines.
+ * 4 MB of unsent replies; `prism.server.backpressure` counts each
+ * pause. The kernel socket buffer then fills, and the client's sends
+ * stall — the standard TCP backpressure chain. This bounds
+ * per-connection memory no matter how aggressively a client pipelines.
  *
  * Multi-tenancy: a tenant is a 16-bit namespace in the top bits of the
  * 64-bit store key (wire keys are decimal integers < 2^48). Clients
@@ -40,14 +43,13 @@
  * token-bucket ops/s quota (exceeding it earns `-THROTTLED` errors,
  * never event-loop delay).
  *
- * The server publishes `prism.server.*` stats and registers a listener
- * section with obs::setListenerInfo so /healthz and `prism_cli top`
- * report listener state wherever the store embeds a front-end.
+ * The server publishes `prism.server.*` stats; /healthz (the router's
+ * health report) and `prism_cli top` read listener state from them
+ * while `prism.server.port` is non-zero.
  */
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "net/resp.h"
@@ -82,10 +84,6 @@ class RespServer {
         int max_connections = 4096;
         /** Per-connection in-flight command cap (backpressure). */
         int inflight_cap = 128;
-        /** Per-connection unsent-reply high-water mark (backpressure). */
-        size_t out_hwm_bytes = 4u << 20;
-        /** Frame limits handed to every connection's RespParser. */
-        RespLimits limits;
         /**
          * Default per-tenant quota in ops/s; 0 = unlimited. Burst is
          * max(rate, 1000) so short pipelined bursts are not penalised.
@@ -93,16 +91,6 @@ class RespServer {
         uint64_t quota_default_ops = 0;
         /** Per-tenant overrides: "name=rate[,name=rate...]". */
         std::string quota_spec;
-    };
-
-    /** Counters behind INFO, /healthz and `prism_cli top`. */
-    struct ListenerInfo {
-        int port = 0;
-        int connections = 0;
-        uint64_t accepted = 0;
-        uint64_t commands = 0;
-        uint64_t throttled = 0;
-        uint64_t inflight = 0;
     };
 
     /**
@@ -126,12 +114,8 @@ class RespServer {
      */
     void stop();
 
-    bool running() const;
-
     /** Bound TCP port while running (resolves port 0), else 0. */
     int port() const;
-
-    ListenerInfo info() const;
 
   private:
     struct Impl;

@@ -8,8 +8,10 @@
  *    histograms export cumulative `_bucket{le=}` with `_sum`/`_count`;
  *  - the server binds an ephemeral port (port 0), serves every
  *    endpoint, rejects malformed (400), non-GET (405), unknown (404)
- *    and oversized (431) requests, and a stopped server's port can be
- *    rebound immediately;
+ *    and oversized (431) requests, answers a half-closed client, and a
+ *    stopped server's port can be rebound immediately;
+ *  - a client that resets mid-response gets its socket closed, not
+ *    polled forever;
  *  - /healthz flips 200 -> 503 -> 200 as a device drops out and
  *    returns (sim dropout, the same switch the fault harness uses);
  *  - concurrent scrapes against a store under write load all succeed
@@ -20,11 +22,13 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <dirent.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -50,8 +54,11 @@ struct HttpResponse {
     std::string body;     ///< bytes after the blank line
 };
 
+/** With @p half_close the client shuts down its sending side right
+ *  after the request, before it reads the response. */
 HttpResponse
-httpExchange(int port, const std::string &request)
+httpExchange(int port, const std::string &request,
+             bool half_close = false)
 {
     HttpResponse r;
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -74,6 +81,8 @@ httpExchange(int port, const std::string &request)
             break;
         off += static_cast<size_t>(n);
     }
+    if (half_close)
+        ::shutdown(fd, SHUT_WR);
     char buf[4096];
     ssize_t n;
     while ((n = ::read(fd, buf, sizeof(buf))) > 0)
@@ -187,9 +196,7 @@ TEST(ObsServer, LifecycleEndpointsAndErrors)
 {
     ObsServer srv;
     std::string err;
-    ObsServer::Options so;
-    so.port = 0;
-    ASSERT_TRUE(srv.start(so, &err)) << err;
+    ASSERT_TRUE(srv.start(0, &err)) << err;
     ASSERT_GT(srv.port(), 0);
     const int port = srv.port();
 
@@ -205,6 +212,11 @@ TEST(ObsServer, LifecycleEndpointsAndErrors)
     EXPECT_EQ(httpGet(port, "/nope").status, 404);
     // Query strings are stripped before routing.
     EXPECT_EQ(httpGet(port, "/metrics?x=1").status, 200);
+    // A client that half-closes after its request still gets the reply.
+    EXPECT_EQ(httpExchange(port, "GET /healthz HTTP/1.1\r\n\r\n",
+                           /*half_close=*/true)
+                  .status,
+              200);
 
     EXPECT_EQ(httpExchange(port,
                            "POST /metrics HTTP/1.1\r\nHost: t\r\n\r\n")
@@ -218,13 +230,10 @@ TEST(ObsServer, LifecycleEndpointsAndErrors)
         431);
 
     srv.stop();
-    EXPECT_FALSE(srv.running());
     EXPECT_EQ(srv.port(), 0);
     // The port is released: a fresh server can bind it right away.
     ObsServer srv2;
-    ObsServer::Options so2;
-    so2.port = port;
-    ASSERT_TRUE(srv2.start(so2, &err)) << err;
+    ASSERT_TRUE(srv2.start(port, &err)) << err;
     EXPECT_EQ(srv2.port(), port);
     EXPECT_EQ(httpGet(port, "/healthz").status, 200);
     srv2.stop();
@@ -304,6 +313,66 @@ TEST(ObsServer, ResolvePortPrecedence)
     EXPECT_EQ(resolveObsPort(-1), 9200);   // env fills the default
     EXPECT_EQ(resolveObsPort(9100), 9100); // explicit option wins
     ::unsetenv("PRISM_OBS_PORT");
+}
+
+/** Open file descriptors of this process. */
+size_t
+openFds()
+{
+    size_t n = 0;
+    DIR *d = ::opendir("/proc/self/fd");
+    if (d == nullptr)
+        return 0;
+    while (::readdir(d) != nullptr)
+        n++;
+    ::closedir(d);
+    return n;
+}
+
+// Kept last: the padding below stays in the process-wide registry and
+// would slow every later /metrics scrape in this binary.
+TEST(ObsServer, ResetMidResponseClosesConnection)
+{
+    // Several MB of /metrics, so the response is still being written
+    // when the client resets.
+    auto &reg = stats::StatsRegistry::global();
+    const std::string pad(160, 'p');
+    for (int i = 0; i < 20000; i++)
+        reg.gauge("obs.test.pad." + pad + "." + std::to_string(i));
+
+    ObsServer srv;
+    std::string err;
+    ASSERT_TRUE(srv.start(0, &err)) << err;
+    const size_t baseline = openFds();
+
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    const int rcvbuf = 4096;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<uint16_t>(srv.port()));
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                        sizeof(addr)),
+              0);
+    const std::string req = "GET /metrics HTTP/1.1\r\n\r\n";
+    ASSERT_EQ(::write(fd, req.data(), req.size()),
+              static_cast<ssize_t>(req.size()));
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const linger rst{1, 0};  // close() now sends RST
+    ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &rst, sizeof(rst));
+    ::close(fd);
+
+    // The server must notice the reset and close its socket, not poll
+    // the dead connection forever.
+    size_t now = openFds();
+    for (int i = 0; i < 100 && now != baseline; i++) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        now = openFds();
+    }
+    EXPECT_EQ(now, baseline);
+    srv.stop();
 }
 
 }  // namespace

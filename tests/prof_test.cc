@@ -111,11 +111,9 @@ TEST(ProfilerLifecycle, HzClamped)
 TEST(ProfilerLifecycle, ResolveHzPrecedence)
 {
     ::unsetenv("PRISM_PROF_HZ");
-    EXPECT_EQ(prof::resolveHz(250), 250);
-    EXPECT_EQ(prof::resolveHz(0), 0);
+    EXPECT_EQ(prof::resolveHz(), 0);
     ::setenv("PRISM_PROF_HZ", "77", 1);
-    EXPECT_EQ(prof::resolveHz(0), 77);
-    EXPECT_EQ(prof::resolveHz(250), 250);  // option wins over env
+    EXPECT_EQ(prof::resolveHz(), 77);
     ::unsetenv("PRISM_PROF_HZ");
 }
 
