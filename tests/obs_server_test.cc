@@ -24,6 +24,7 @@
 #include <arpa/inet.h>
 #include <dirent.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -359,6 +360,11 @@ TEST(ObsServer, ResetMidResponseClosesConnection)
     const std::string req = "GET /metrics HTTP/1.1\r\n\r\n";
     ASSERT_EQ(::write(fd, req.data(), req.size()),
               static_cast<ssize_t>(req.size()));
+    // Reset once the response flows (rendering it can take longer than
+    // the 1 s limit below in a sanitizer build): the server is then
+    // mid-write, stalled on the client's small receive window.
+    pollfd first{fd, POLLIN, 0};
+    ASSERT_EQ(::poll(&first, 1, 30000), 1);
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     const linger rst{1, 0};  // close() now sends RST
     ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &rst, sizeof(rst));
