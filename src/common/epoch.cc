@@ -1,5 +1,7 @@
 #include "common/epoch.h"
 
+#include <algorithm>
+#include <iterator>
 #include <thread>
 
 #include "common/logging.h"
@@ -176,19 +178,18 @@ EpochManager::tryAdvance()
                                           std::memory_order_acq_rel);
     const uint64_t now = global_epoch_.load(std::memory_order_acquire);
 
-    // Free retirees that are at least two epochs old.
+    // Free retirees that are at least two epochs old. retire() stamps
+    // them under the lock with a monotonic epoch, so they form a prefix
+    // of the list, taken in one pass however long the list has grown.
     std::vector<Retired> ready;
     {
         std::lock_guard<std::mutex> lock(retired_mu_);
-        auto it = retired_.begin();
-        while (it != retired_.end()) {
-            if (it->epoch + 2 <= now) {
-                ready.push_back(std::move(*it));
-                it = retired_.erase(it);
-            } else {
-                ++it;
-            }
-        }
+        const auto end = std::partition_point(
+            retired_.begin(), retired_.end(),
+            [now](const Retired &r) { return r.epoch + 2 <= now; });
+        ready.assign(std::make_move_iterator(retired_.begin()),
+                     std::make_move_iterator(end));
+        retired_.erase(retired_.begin(), end);
     }
     for (auto &r : ready)
         r.deleter();

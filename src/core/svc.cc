@@ -15,7 +15,8 @@ Svc::Svc(Hsit &hsit, EpochManager &epochs,
          std::vector<ValueStorage *> targets, const PrismOptions &opts)
     : hsit_(hsit), epochs_(epochs), targets_(std::move(targets)),
       enabled_(opts.enable_svc), scan_reorg_(opts.enable_scan_reorg),
-      capacity_(opts.svc_capacity_bytes)
+      capacity_(opts.svc_capacity_bytes),
+      wake_bytes_(capacity_ + capacity_ / kOverBudgetDiv)
 {
     auto &reg = stats::StatsRegistry::global();
     reg_hits_ = &reg.counter("prism.svc.hits", "ops");
@@ -24,6 +25,7 @@ Svc::Svc(Hsit &hsit, EpochManager &epochs,
     reg_evictions_ = &reg.counter("prism.svc.evictions", "ops");
     reg_scan_reorgs_ = &reg.counter("prism.svc.scan_reorgs", "ops");
     reg_reorged_values_ = &reg.counter("prism.svc.reorged_values", "ops");
+    reg_manager_rounds_ = &reg.counter("prism.svc.manager_rounds", "ops");
     manager_ = std::thread([this] { managerLoop(); });
 }
 
@@ -37,7 +39,9 @@ Svc::~Svc()
     manager_.join();
     // Drain straggler events in order (one swap, same as the manager),
     // then free the survivors; no application threads can remain at
-    // destruction.
+    // destruction. Every Admit has been processed by now, so each live
+    // entry is on an LRU list or retired: an entry that lost its
+    // eviction CAS was retired by the Remove just drained.
     std::deque<Event> batch;
     {
         std::lock_guard<prof::TimedMutex> lock(ev_mu_);
@@ -45,11 +49,12 @@ Svc::~Svc()
     }
     for (auto &ev : batch)
         processEvent(ev);
-    for (SvcEntry *e : admitted_) {
-        hsit_.svcCas(e->hsit_idx, e, nullptr);
-        operator delete(e);
+    for (Lru *list : {&active_, &inactive_}) {
+        while (SvcEntry *e = list->popBack()) {
+            hsit_.svcCas(e->hsit_idx, e, nullptr);
+            operator delete(e);
+        }
     }
-    admitted_.clear();
     epochs_.drain();  // run pending EBR deleters for retired entries
 }
 
@@ -101,11 +106,7 @@ Svc::admit(uint64_t hsit_idx, uint64_t key, ValueAddr vs_addr,
         return;
     }
     reg_admissions_->inc();
-    {
-        std::lock_guard<prof::TimedMutex> lock(ev_mu_);
-        events_.push_back({EvType::kAdmit, e, {}});
-    }
-    ev_cv_.notify_one();
+    enqueue({EvType::kAdmit, e, {}});
     // Post-publish re-validation: if the forward pointer moved while we
     // were publishing, retract the (possibly stale) copy. Whoever wins
     // the detach CAS enqueues the Remove; the background thread performs
@@ -114,13 +115,8 @@ Svc::admit(uint64_t hsit_idx, uint64_t key, ValueAddr vs_addr,
     // the local copy rather than reading e.
     if (hsit_.entry(hsit_idx).primary.load(std::memory_order_acquire) !=
         vs_raw) {
-        if (hsit_.svcCas(hsit_idx, e, nullptr)) {
-            {
-                std::lock_guard<prof::TimedMutex> lock(ev_mu_);
-                events_.push_back({EvType::kRemove, e, {}});
-            }
-            ev_cv_.notify_one();
-        }
+        if (hsit_.svcCas(hsit_idx, e, nullptr))
+            enqueue({EvType::kRemove, e, {}});
     }
 }
 
@@ -132,13 +128,8 @@ Svc::invalidate(uint64_t hsit_idx)
     auto *e = static_cast<SvcEntry *>(hsit_.svcLoad(hsit_idx));
     if (e == nullptr)
         return;
-    if (hsit_.svcCas(hsit_idx, e, nullptr)) {
-        {
-            std::lock_guard<prof::TimedMutex> lock(ev_mu_);
-            events_.push_back({EvType::kRemove, e, {}});
-        }
-        ev_cv_.notify_one();
-    }
+    if (hsit_.svcCas(hsit_idx, e, nullptr))
+        enqueue({EvType::kRemove, e, {}});
 }
 
 void
@@ -146,12 +137,23 @@ Svc::noteScan(std::vector<uint64_t> hsit_indices)
 {
     if (!enabled_ || !scan_reorg_ || hsit_indices.size() < 2)
         return;
+    enqueue({EvType::kScanChain, nullptr, std::move(hsit_indices)});
+}
+
+void
+Svc::enqueue(Event ev)
+{
+    bool wake = false;
     {
         std::lock_guard<prof::TimedMutex> lock(ev_mu_);
-        events_.push_back({EvType::kScanChain, nullptr,
-                           std::move(hsit_indices)});
+        events_.push_back(std::move(ev));
+        if (!due_ && (events_.size() >= kWakeBatch ||
+                      used_bytes_.load(std::memory_order_relaxed) >
+                          wake_bytes_))
+            due_ = wake = true;
     }
-    ev_cv_.notify_one();
+    if (wake)
+        ev_cv_.notify_one();
 }
 
 void
@@ -171,14 +173,14 @@ Svc::rebind(uint64_t hsit_idx, uint64_t old_raw, uint64_t new_raw)
 void
 Svc::drainForTest()
 {
-    // Two full passes: one may already have been in flight. Each poke
-    // forces the manager through a round even with an empty queue.
+    // Two full passes: one may already have been in flight. Each pass
+    // marks a round due, which the manager runs even with a short queue.
     for (int pass = 0; pass < 2; pass++) {
         const uint64_t gen =
             drained_generation_.load(std::memory_order_acquire);
         {
             std::lock_guard<prof::TimedMutex> lock(ev_mu_);
-            poke_ = true;
+            due_ = true;
         }
         ev_cv_.notify_one();
         while (drained_generation_.load(std::memory_order_acquire) <=
@@ -232,18 +234,16 @@ Svc::managerLoop()
     while (!stop_.load(std::memory_order_acquire)) {
         batch.clear();
         {
-            // Event-driven: sleep until a producer enqueues (or a
-            // drainForTest poke / shutdown). The timed fallback only
-            // bounds epoch-advance staleness — an idle SVC costs ~20
-            // wakeups/s instead of the 20 kHz a fixed poll would burn,
-            // which matters when a shard router runs one manager per
-            // shard on a small machine.
+            // Batch-driven: sleep until a producer finds a round due
+            // (see enqueue), drainForTest or shutdown. The timer sweeps
+            // up a short queue and bounds epoch-advance staleness: an
+            // idle SVC costs ~20 wakeups/s, and a busy one about one
+            // per kWakeBatch events rather than one per event.
             std::unique_lock<prof::TimedMutex> lock(ev_mu_);
             ev_cv_.wait_for(lock, std::chrono::milliseconds(50), [this] {
-                return stop_.load(std::memory_order_acquire) ||
-                       !events_.empty() || poke_;
+                return stop_.load(std::memory_order_acquire) || due_;
             });
-            poke_ = false;
+            due_ = false;
             // Swap-drain: take the whole queue in O(1) under one lock
             // acquisition instead of popping elements while producers
             // (put/get/scan threads) contend for the mutex.
@@ -253,6 +253,7 @@ Svc::managerLoop()
             processEvent(ev);
         balance();
         epochs_.tryAdvance();
+        reg_manager_rounds_->inc();
         drained_generation_.fetch_add(1, std::memory_order_release);
     }
 }
@@ -263,13 +264,13 @@ Svc::processEvent(Event &ev)
     switch (ev.type) {
       case EvType::kAdmit: {
         SvcEntry *e = ev.entry;
-        if (pending_remove_.erase(e) > 0) {
+        e->admit_seen = true;
+        if (e->remove_seen) {
             // Its Remove arrived first (the entry was detached before we
             // got here); retire it now that both events are accounted.
             retireEntry(e);
             return;
         }
-        admitted_.insert(e);
         // First touch goes to the inactive list (2Q admission, Fig. 3-1).
         inactive_.pushFront(e);
         e->in_lru = true;
@@ -278,12 +279,10 @@ Svc::processEvent(Event &ev)
       }
       case EvType::kRemove: {
         SvcEntry *e = ev.entry;
-        if (admitted_.erase(e) > 0) {
+        if (e->admit_seen)
             retireEntry(e);
-        } else {
-            // Admit not yet processed; defer until it arrives.
-            pending_remove_.insert(e);
-        }
+        else
+            e->remove_seen = true;  // Admit not yet processed; defer
         return;
       }
       case EvType::kScanChain: {
@@ -356,10 +355,8 @@ Svc::evictOne()
     // the epoch grace period (§4.4). If the detach CAS loses, another
     // thread already detached the entry and its Remove event will retire
     // it; we must not free it twice.
-    if (hsit_.svcCas(e->hsit_idx, e, nullptr)) {
-        admitted_.erase(e);
+    if (hsit_.svcCas(e->hsit_idx, e, nullptr))
         retireEntry(e);
-    }
     reg_evictions_->inc();
 }
 

@@ -11,7 +11,12 @@
  *     (CAS the HSIT SVC pointer) and set a reference flag; a background
  *     thread owns the 2Q LRU lists (active/inactive), promotion,
  *     demotion and eviction, with epoch-based reclamation protecting
- *     readers of evicted entries.
+ *     readers of evicted entries. Producers queue an event per
+ *     admission, removal or scan but wake the manager only once per
+ *     batch: when kWakeBatch events are queued, or when admissions have
+ *     pushed the cache more than 1/kOverBudgetDiv past its capacity.
+ *     A 50 ms timer sweeps up smaller batches, and every round evicts
+ *     back to capacity.
  *  3. *Scan awareness* — values returned by one scan are chained in a
  *     doubly-linked list; when one of them is evicted, the whole chain
  *     is sorted by key and rewritten into a single Value Storage chunk,
@@ -33,7 +38,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "common/epoch.h"
@@ -119,6 +123,11 @@ class Svc {
     void drainForTest();
 
   private:
+    // A manager round is due once kWakeBatch events are queued, or once
+    // used bytes exceed capacity by capacity / kOverBudgetDiv.
+    static constexpr size_t kWakeBatch = 64;
+    static constexpr uint64_t kOverBudgetDiv = 64;
+
     struct SvcEntry {
         uint64_t key;
         uint64_t hsit_idx;
@@ -126,7 +135,14 @@ class Svc {
         uint32_t size;
         std::atomic<bool> referenced{false};  ///< set on hit; 2Q promotion
 
-        // Fields below are owned by the background thread.
+        // Fields below are owned by the background thread. An entry is
+        // freed only after its Admit event has been processed, which
+        // closes the race where a descheduled admitter enqueues an event
+        // for an entry that was detached, retired and reclaimed in the
+        // meantime; a Remove that overtakes the Admit is parked in
+        // remove_seen until then.
+        bool admit_seen = false;
+        bool remove_seen = false;
         bool in_lru = false;
         bool in_active = false;
         bool evicted = false;
@@ -160,6 +176,8 @@ class Svc {
         std::vector<uint64_t> chain;
     };
 
+    /** Queue @p ev and wake the manager if that makes a round due. */
+    void enqueue(Event ev);
     void managerLoop();
     void processEvent(Event &ev);
     void balance();
@@ -175,6 +193,7 @@ class Svc {
     bool enabled_;
     bool scan_reorg_;
     uint64_t capacity_;
+    uint64_t wake_bytes_;  ///< used bytes above which a round is due
 
     std::atomic<uint64_t> used_bytes_{0};
 
@@ -182,18 +201,13 @@ class Svc {
     // _any: waits on the profiled wrapper, not a raw std::mutex.
     std::condition_variable_any ev_cv_;
     std::deque<Event> events_;
-    bool poke_ = false;  // drainForTest: force an empty round
+    // A round is due (batch full, over budget, or drainForTest): set by
+    // the first producer that finds it so, which alone notifies.
+    bool due_ = false;
     std::atomic<uint64_t> drained_generation_{0};
 
     Lru active_;
     Lru inactive_;
-
-    // Entry-lifecycle bookkeeping (background thread only). An entry is
-    // freed only after its Admit event has been processed, which closes
-    // the race where a descheduled admitter enqueues an event for an
-    // entry that was detached, retired and reclaimed in the meantime.
-    std::unordered_set<SvcEntry *> admitted_;
-    std::unordered_set<SvcEntry *> pending_remove_;
 
     // Shared-by-name process-wide metrics (see common/stats.h).
     stats::Counter *reg_hits_;
@@ -202,6 +216,7 @@ class Svc {
     stats::Counter *reg_evictions_;
     stats::Counter *reg_scan_reorgs_;
     stats::Counter *reg_reorged_values_;
+    stats::Counter *reg_manager_rounds_;
 
     std::atomic<bool> stop_{false};
     std::thread manager_;

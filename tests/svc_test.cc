@@ -2,9 +2,15 @@
  * @file
  * Unit tests for the Scan-aware Value Cache in isolation: admission,
  * validation-based staleness safety, invalidation, 2Q behaviour under
- * pressure, scan chains and eviction-time reorganisation.
+ * pressure, scan chains and eviction-time reorganisation, the manager's
+ * once-per-batch wake, and admits racing invalidates.
  */
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <chrono>
+#include <random>
+#include <thread>
 
 #include "core/chunk_writer.h"
 #include "core/svc.h"
@@ -59,7 +65,34 @@ struct SvcFixture {
         hsit->storePrimaryDurable(h, a);
         return {h, a};
     }
+
+    /**
+     * Publish an HSIT entry whose forward pointer names a Value Storage
+     * record that is never written: admission only compares addresses.
+     */
+    std::pair<uint64_t, ValueAddr> publishAddr(uint64_t key)
+    {
+        const uint64_t h = hsit->allocEntry();
+        const ValueAddr a = ValueAddr::vs(0, key * 4096, 1024);
+        hsit->storePrimaryDurable(h, a);
+        return {h, a};
+    }
+
+    void admit(uint64_t h, uint64_t key, ValueAddr a,
+               const std::string &value)
+    {
+        EpochGuard guard(epochs);
+        svc->admit(h, key, a, reinterpret_cast<const uint8_t *>(value.data()),
+                   static_cast<uint32_t>(value.size()));
+    }
 };
+
+uint64_t
+managerRounds(const stats::StatsSnapshot &before)
+{
+    return stats::StatsRegistry::global().snapshot().counterDelta(
+        before, "prism.svc.manager_rounds");
+}
 
 TEST(SvcTest, AdmitThenHit)
 {
@@ -253,6 +286,98 @@ TEST(SvcTest, ScanChainReorganisesOnEviction)
         EXPECT_EQ(hdr->backward, h);
         EXPECT_TRUE(recordCrcOk(*hdr, hdr + 1));
     }
+}
+
+TEST(SvcTest, AdmissionsUnderBudgetWakeManagerPerBatch)
+{
+    SvcFixture fx;  // 1 MB: room for every admission below
+    const std::string value(100, 'w');
+    constexpr uint64_t kAdmits = 1000;
+    constexpr uint64_t kWakeBatch = 64;  // Svc::kWakeBatch
+    std::vector<std::pair<uint64_t, ValueAddr>> items;
+    for (uint64_t k = 0; k < kAdmits; k++)
+        items.push_back(fx.publishAddr(k));
+
+    // Paced like SSD-read admissions, so a manager woken per event has
+    // time to go back to sleep between two of them.
+    const auto before = stats::StatsRegistry::global().snapshot();
+    const auto t0 = std::chrono::steady_clock::now();
+    for (uint64_t k = 0; k < kAdmits; k++) {
+        fx.admit(items[k].first, k, items[k].second, value);
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+    const auto ms = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+    const uint64_t rounds = managerRounds(before);
+    // One round per full batch, the 50 ms timer's rounds over the loop,
+    // and a round already in flight at either end; one round per
+    // admission would be about kAdmits.
+    EXPECT_LE(rounds, kAdmits / kWakeBatch + 2 + ms / 50)
+        << "over " << ms << " ms";
+
+    // The rounds are counted, and every admission stayed cached.
+    fx.svc->drainForTest();
+    EXPECT_GE(managerRounds(before), rounds + 2);
+    EpochGuard guard(fx.epochs);
+    std::string out;
+    for (const auto &[h, addr] : items)
+        ASSERT_TRUE(fx.svc->lookup(h, addr.raw(), &out));
+    EXPECT_LE(fx.svc->usedBytes(), fx.svc->capacityBytes());
+}
+
+TEST(SvcTest, ConcurrentAdmitInvalidateFreesEverything)
+{
+    // A cache smaller than the key set, so the manager's evictions race
+    // with invalidations too (an eviction that loses its detach CAS
+    // leaves the entry to the winner's Remove).
+    SvcFixture fx(2048);
+    const std::string value(200, 'c');
+    constexpr uint64_t kKeys = 16;
+    std::vector<std::pair<uint64_t, ValueAddr>> items;
+    for (uint64_t k = 0; k < kKeys; k++)
+        items.push_back(fx.publishAddr(k));
+
+    // Admits race invalidates of the same keys, so a Remove can reach
+    // the manager before or after its entry's Admit. A stale admission
+    // (an address the forward pointer no longer names) is published and
+    // then retracted by its own admitter.
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; t++) {
+        threads.emplace_back([&, t] {
+            std::mt19937_64 rng(static_cast<uint64_t>(t) + 1);
+            while (!stop.load(std::memory_order_relaxed)) {
+                const uint64_t k = rng() % kKeys;
+                const auto &[h, addr] = items[k];
+                switch (rng() % 4) {
+                  case 0:
+                    fx.svc->invalidate(h);
+                    break;
+                  case 1:
+                    fx.admit(h, k, ValueAddr::vs(0, addr.offset() + 1024,
+                                                 1024),
+                             value);
+                    break;
+                  default:
+                    fx.admit(h, k, addr, value);
+                    break;
+                }
+            }
+        });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    stop.store(true);
+    for (auto &th : threads)
+        th.join();
+
+    for (const auto &[h, addr] : items)
+        fx.svc->invalidate(h);
+    fx.svc->drainForTest();
+    EXPECT_EQ(fx.svc->usedBytes(), 0u);
+    for (const auto &[h, addr] : items)
+        EXPECT_EQ(fx.hsit->svcLoad(h), nullptr);
 }
 
 TEST(SvcTest, DisabledCacheIsInert)
