@@ -2,15 +2,21 @@
  * @file
  * google-benchmark microbenchmarks for the individual components:
  * PacTree operations, HSIT durable pointer updates, PWB appends,
- * workload generators and the latency histogram. Device timing is
- * disabled — these measure the software paths themselves.
+ * workload generators, the latency histogram, and the simulated SSD's
+ * lone-read path. Device timing is disabled except in BM_SsdLoneRead,
+ * which measures what the timed device itself costs a caller.
  */
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/clock.h"
 #include "common/histogram.h"
 #include "common/rand.h"
 #include "core/hsit.h"
@@ -18,6 +24,7 @@
 #include "index/pactree.h"
 #include "pmem/pmem_allocator.h"
 #include "sim/device_profile.h"
+#include "sim/ssd_device.h"
 
 namespace prism {
 namespace {
@@ -149,6 +156,80 @@ BM_HistogramRecord(benchmark::State &state)
     benchmark::DoNotOptimize(h.count());
 }
 BENCHMARK(BM_HistogramRecord);
+
+/** The @p q quantile of @p v, in microseconds (reorders @p v). */
+double
+quantileUs(std::vector<uint64_t> &v, double q)
+{
+    const auto k = static_cast<size_t>(q * static_cast<double>(v.size() - 1));
+    std::nth_element(v.begin(), v.begin() + static_cast<long>(k), v.end());
+    return static_cast<double>(v[k]) / 1e3;
+}
+
+/**
+ * Single 1 KB reads into a timed 980 Pro device, paced at 10 K/s, while
+ * a reaper thread blocks in waitCompletions: the way the RESP loop
+ * issues Value Storage misses and the VS completion thread reaps them.
+ * Counters: submit() p50/p90 and submit-to-reap p50, in µs. Compare the
+ * submit cost with SsdDevice::kSubmitOverheadNs, and submit-to-reap
+ * with the profile's 50 µs read latency.
+ */
+void
+BM_SsdLoneRead(benchmark::State &state)
+{
+    constexpr uint64_t kGapNs = 100000;  // 10 K reads/s
+    sim::SsdDevice dev(64ull << 20);
+    const auto n = static_cast<size_t>(state.max_iterations);
+    std::vector<uint64_t> submit_ns(n), issued_at(n);
+    std::vector<std::atomic<uint64_t>> reaped_at(n);
+    std::atomic<bool> stop{false};
+    std::thread reaper([&] {
+        std::vector<io::IoCompletion> done;
+        while (!stop.load(std::memory_order_acquire)) {
+            done.clear();
+            dev.waitCompletions(done, 16, 1000);
+            const uint64_t now = nowNs();
+            for (const auto &c : done)
+                reaped_at[c.user_data].store(now, std::memory_order_release);
+        }
+    });
+
+    std::vector<uint8_t> buf(1024);
+    io::IoRequest req;
+    req.op = io::IoRequest::Op::kRead;
+    req.length = static_cast<uint32_t>(buf.size());
+    req.buf = buf.data();
+    size_t i = 0;
+    uint64_t next = nowNs();
+    for (auto _ : state) {
+        const uint64_t now = nowNs();
+        if (next > now)
+            std::this_thread::sleep_for(std::chrono::nanoseconds(next - now));
+        next += kGapNs;
+        req.offset = (i % 4096) * 4096;
+        req.user_data = i;
+        const uint64_t t0 = nowNs();
+        if (!dev.submit(req).isOk())
+            state.SkipWithError("submit failed");
+        submit_ns[i] = nowNs() - t0;
+        issued_at[i++] = t0;
+    }
+    for (size_t k = 0; k < i; k++) {
+        while (reaped_at[k].load(std::memory_order_acquire) == 0)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    stop.store(true, std::memory_order_release);
+    reaper.join();
+
+    std::vector<uint64_t> reap_ns(i);
+    for (size_t k = 0; k < i; k++)
+        reap_ns[k] = reaped_at[k].load() - issued_at[k];
+    submit_ns.resize(i);
+    state.counters["submit_p50_us"] = quantileUs(submit_ns, 0.5);
+    state.counters["submit_p90_us"] = quantileUs(submit_ns, 0.9);
+    state.counters["reap_p50_us"] = quantileUs(reap_ns, 0.5);
+}
+BENCHMARK(BM_SsdLoneRead)->Iterations(20000)->UseRealTime();
 
 }  // namespace
 }  // namespace prism

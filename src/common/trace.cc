@@ -1,5 +1,7 @@
 #include "common/trace.h"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
@@ -346,6 +348,9 @@ TraceRegistry::ring()
 void
 TraceRegistry::setThreadName(const std::string &name)
 {
+    // The OS name (top -H, ps -L, /proc/<pid>/task/*/comm) holds at
+    // most 15 bytes.
+    pthread_setname_np(pthread_self(), name.substr(0, 15).c_str());
     const int tid = ThreadId::self() %
                     static_cast<int>(ThreadId::kMaxThreads);
     std::lock_guard<std::mutex> lock(mu_);

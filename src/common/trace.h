@@ -257,7 +257,8 @@ class TraceRegistry {
 
     /**
      * Name the calling thread's track in exported output, e.g.
-     * "bg-worker-3". Also safe to call before any event is emitted.
+     * "bg-worker-3", and the thread itself for the OS (its first 15
+     * bytes). Also safe to call before any event is emitted.
      */
     void setThreadName(const std::string &name);
 

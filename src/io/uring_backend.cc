@@ -21,6 +21,26 @@ namespace prism::io {
 
 namespace {
 
+// Each OpCtx passes from submit() to the reaper through the kernel's
+// rings, a hand-off ThreadSanitizer cannot see. TSan builds announce it
+// (sanitizer/tsan_interface.h); other builds compile it away.
+#if defined(__SANITIZE_THREAD__)
+#define PRISM_URING_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define PRISM_URING_TSAN 1
+#endif
+#endif
+#ifdef PRISM_URING_TSAN
+extern "C" void __tsan_acquire(void *addr);
+extern "C" void __tsan_release(void *addr);
+void handOff(void *ctx) { __tsan_release(ctx); }
+void takeOver(void *ctx) { __tsan_acquire(ctx); }
+#else
+void handOff(void *) {}
+void takeOver(void *) {}
+#endif
+
 // Raw syscall wrappers — liburing is deliberately not a dependency.
 // On exotic libcs without the __NR constants the wrappers fail with
 // ENOSYS, so the probe reports "unavailable" and everything falls back
@@ -272,6 +292,7 @@ UringBackend::submit(std::span<const IoRequest> batch)
             ctx->is_write = req.op == IoRequest::Op::kWrite;
             ctx->forced = forced;
             ctx->extra_ns = extra_ns;
+            handOff(ctx);
 
             struct io_uring_sqe *sqe = nextSqe();
             sqe->fd = fd_;
@@ -315,6 +336,7 @@ UringBackend::drainKernelCq(std::vector<IoCompletion> &out)
         if (ud == 0)
             continue;  // wake-up NOP
         auto *ctx = reinterpret_cast<OpCtx *>(ud);
+        takeOver(ctx);
         Status st = ctx->forced;
         if (st.isOk()) {
             if (res < 0) {

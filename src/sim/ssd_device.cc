@@ -1,5 +1,9 @@
 #include "sim/ssd_device.h"
 
+#include <poll.h>
+#include <sys/timerfd.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstring>
@@ -38,17 +42,13 @@ SsdDevice::SsdDevice(uint64_t capacity_bytes, const DeviceProfile &profile,
             "ssd" + std::to_string(ins_.dev) + ".ch" +
             std::to_string(c)));
     }
-    worker_ = std::thread([this] { workerLoop(); });
+    timer_fd_ = ::timerfd_create(CLOCK_MONOTONIC, TFD_CLOEXEC);
+    PRISM_CHECK(timer_fd_ >= 0);
 }
 
 SsdDevice::~SsdDevice()
 {
-    {
-        std::lock_guard<std::mutex> lock(sq_mu_);
-        stop_.store(true, std::memory_order_release);
-    }
-    sq_cv_.notify_all();
-    worker_.join();
+    ::close(timer_fd_);
     for (auto &p : pages_) {
         uint8_t *ptr = p.load(std::memory_order_relaxed);
         delete[] ptr;
@@ -74,8 +74,15 @@ SsdDevice::pageFor(uint64_t page_index, bool allocate)
 
 namespace {
 
+timespec
+toTimespec(uint64_t ns)
+{
+    return {static_cast<time_t>(ns / 1000000000),
+            static_cast<long>(ns % 1000000000)};
+}
+
 /**
- * Page memory is shared between submitters, the completion worker, and
+ * Page memory is shared between submitters, the synchronous helpers and
  * the crash-capture path (`snapshotTo`), which deliberately reads pages
  * while writes are in flight — exactly how a power cut captures a drive
  * mid-DMA. Torn data is part of the modelled semantics (record CRCs
@@ -189,7 +196,8 @@ SsdDevice::submit(std::span<const SsdIoRequest> batch)
 {
     PRISM_TRACE_SPAN_VAR(submit_span, "ssd.submit");
     submit_span.arg(PRISM_TRACE_NID("reqs"), batch.size());
-    if (model_timing_.load(std::memory_order_relaxed))
+    const bool timed = model_timing_.load(std::memory_order_relaxed);
+    if (timed)
         spinFor(TimeScale::scaled(kSubmitOverheadNs));
     for (const auto &req : batch) {
         if (req.offset + req.length > capacity_)
@@ -230,127 +238,92 @@ SsdDevice::submit(std::span<const SsdIoRequest> batch)
     ins_.inflight->add(static_cast<int64_t>(batch.size()));
     io::DeviceInstruments::noteDepth(stats_, depth);
 
-    if (!model_timing_.load(std::memory_order_relaxed)) {
-        std::lock_guard<std::mutex> lock(cq_mu_);
-        for (size_t i = 0; i < batch.size(); i++) {
-            cq_.push_back({batch[i].user_data,
-                           faults.empty() ? Status::ok()
-                                          : faults[i].status,
-                           0});
-        }
-        inflight_.fetch_sub(batch.size(), std::memory_order_acq_rel);
-        ins_.inflight->sub(static_cast<int64_t>(batch.size()));
-        cq_cv_.notify_all();
-        return Status::ok();
-    }
-
-    {
-        std::lock_guard<std::mutex> lock(sq_mu_);
-        for (size_t i = 0; i < batch.size(); i++) {
-            const auto &req = batch[i];
-            uint64_t service = serviceTimeNs(req, now);
+    std::lock_guard<std::mutex> lock(sq_mu_);
+    for (size_t i = 0; i < batch.size(); i++) {
+        Pending p;
+        p.due_ns = p.start_ns = p.submit_ns = now;
+        if (timed) {
+            uint64_t service = serviceTimeNs(batch[i], now);
             if (!faults.empty())
                 service += faults[i].extra_ns;
             // Earliest-free internal channel serves the request.
             auto it = std::min_element(channel_free_at_.begin(),
                                        channel_free_at_.end());
-            const uint64_t start = std::max(now, *it);
-            const uint64_t due = start + service;
-            Pending p;
-            p.due_ns = due;
-            p.submit_ns = now;
-            p.start_ns = start;
+            p.start_ns = std::max(now, *it);
+            p.due_ns = p.start_ns + service;
             p.channel = static_cast<uint32_t>(
                 it - channel_free_at_.begin());
-            p.trace_id =
-                (static_cast<uint64_t>(ins_.dev) << 48) |
-                trace_req_seq_.fetch_add(1, std::memory_order_relaxed);
-            p.completion = {req.user_data,
-                            faults.empty() ? Status::ok()
-                                           : faults[i].status,
-                            0};
-            *it = due;
-            pending_.push(std::move(p));
+            *it = p.due_ns;
         }
+        p.trace_id = (static_cast<uint64_t>(ins_.dev) << 48) |
+                     trace_req_seq_.fetch_add(1, std::memory_order_relaxed);
+        p.completion = {batch[i].user_data,
+                        faults.empty() ? Status::ok() : faults[i].status,
+                        0};
+        pending_.push(std::move(p));
     }
-    sq_cv_.notify_one();
+    if (!pending_.empty() && pending_.top().due_ns < armed_ns_)
+        setTimer(pending_.top().due_ns);
     return Status::ok();
 }
 
 void
-SsdDevice::workerLoop()
+SsdDevice::setTimer(uint64_t due_ns)
 {
-    trace::TraceRegistry::global().setThreadName(
-        "ssd" + std::to_string(ins_.dev) + "-worker");
-    std::unique_lock<std::mutex> lock(sq_mu_);
-    while (true) {
-        if (stop_.load(std::memory_order_acquire))
-            return;
-        if (pending_.empty()) {
-            sq_cv_.wait(lock, [this] {
-                return stop_.load(std::memory_order_acquire) ||
-                       !pending_.empty();
-            });
-            continue;
-        }
-        const uint64_t due = pending_.top().due_ns;
-        const uint64_t now = nowNs();
-        if (now < due) {
-            sq_cv_.wait_for(lock, std::chrono::nanoseconds(due - now));
-            continue;
-        }
-        // Deliver everything that has come due.
-        std::vector<Pending> ready;
-        while (!pending_.empty() && pending_.top().due_ns <= now) {
-            ready.push_back(pending_.top());
-            pending_.pop();
-        }
-        lock.unlock();
-        if (trace::detail::tracingEnabled()) {
-            // Reconstructed at delivery: queue wait (submit -> channel
-            // pickup) as an async interval on this worker's track, and
-            // the service time as an "X" span on the serving channel's
-            // own synthetic track (channel occupancy never overlaps).
-            for (const auto &p : ready) {
-                if (p.start_ns > p.submit_ns) {
-                    trace::asyncBegin(PRISM_TRACE_NID("ssd.queue_wait"),
-                                      p.submit_ns, p.trace_id);
-                    trace::asyncEnd(PRISM_TRACE_NID("ssd.queue_wait"),
-                                    p.start_ns, p.trace_id);
-                }
-                if (p.channel < trace_channel_tracks_.size()) {
-                    trace::spanAt(PRISM_TRACE_NID("ssd.service"),
-                                  p.start_ns, p.due_ns - p.start_ns,
-                                  trace_channel_tracks_[p.channel]);
-                }
-            }
-        }
-        {
-            uint64_t busy = 0;
-            for (const auto &p : ready)
-                busy += p.due_ns - p.start_ns;
-            ins_.dev_busy_ns->add(busy);
-            std::lock_guard<std::mutex> cq_lock(cq_mu_);
-            for (auto &p : ready) {
-                p.completion.latency_ns = now - p.submit_ns;
-                ins_.latency->record(p.completion.latency_ns);
-                cq_.push_back(p.completion);
-            }
-        }
-        inflight_.fetch_sub(ready.size(), std::memory_order_acq_rel);
-        ins_.inflight->sub(static_cast<int64_t>(ready.size()));
-        cq_cv_.notify_all();
-        lock.lock();
-    }
+    // A zero it_value disarms; an absolute time already past fires at
+    // once. Either way the expiry count restarts from zero.
+    itimerspec its{};
+    if (due_ns != kDisarmed)
+        its.it_value = toTimespec(due_ns);
+    PRISM_CHECK(::timerfd_settime(timer_fd_, TFD_TIMER_ABSTIME, &its,
+                                  nullptr) == 0);
+    armed_ns_ = due_ns;
 }
 
 size_t
 SsdDevice::pollCompletions(std::vector<SsdCompletion> &out, size_t max)
 {
-    std::lock_guard<std::mutex> lock(cq_mu_);
-    const size_t n = std::min(max, cq_.size());
-    out.insert(out.end(), cq_.begin(), cq_.begin() + static_cast<long>(n));
-    cq_.erase(cq_.begin(), cq_.begin() + static_cast<long>(n));
+    const bool tracing = trace::detail::tracingEnabled();
+    uint64_t busy = 0;
+    size_t n = 0;
+    std::lock_guard<std::mutex> lock(sq_mu_);
+    const uint64_t now = nowNs();
+    for (; n < max && !pending_.empty() && pending_.top().due_ns <= now;
+         n++) {
+        const Pending &p = pending_.top();
+        if (tracing) {
+            // Reconstructed at delivery: queue wait (submit -> channel
+            // pickup) as an async interval on the reaper's track, and
+            // the service time as an "X" span on the serving channel's
+            // own synthetic track (channel occupancy never overlaps).
+            if (p.start_ns > p.submit_ns) {
+                trace::asyncBegin(PRISM_TRACE_NID("ssd.queue_wait"),
+                                  p.submit_ns, p.trace_id);
+                trace::asyncEnd(PRISM_TRACE_NID("ssd.queue_wait"),
+                                p.start_ns, p.trace_id);
+            }
+            trace::spanAt(PRISM_TRACE_NID("ssd.service"), p.start_ns,
+                          p.due_ns - p.start_ns,
+                          trace_channel_tracks_[p.channel]);
+        }
+        busy += p.due_ns - p.start_ns;
+        out.push_back(p.completion);
+        out.back().latency_ns = now - p.submit_ns;
+        ins_.latency->record(out.back().latency_ns);
+        pending_.pop();
+    }
+    // Set the timer for the new head. This also consumes the expiry that
+    // woke a reaper; if requests are still due (max was reached) the new
+    // head is in the past, so the timer stays expired for the next one.
+    const uint64_t head =
+        pending_.empty() ? kDisarmed : pending_.top().due_ns;
+    if (head != armed_ns_)
+        setTimer(head);
+    if (n > 0) {
+        ins_.dev_busy_ns->add(busy);
+        inflight_.fetch_sub(n, std::memory_order_acq_rel);
+        ins_.inflight->sub(static_cast<int64_t>(n));
+    }
     return n;
 }
 
@@ -358,13 +331,18 @@ size_t
 SsdDevice::waitCompletions(std::vector<SsdCompletion> &out, size_t max,
                            uint64_t timeout_us)
 {
-    std::unique_lock<std::mutex> lock(cq_mu_);
-    cq_cv_.wait_for(lock, std::chrono::microseconds(timeout_us),
-                    [this] { return !cq_.empty(); });
-    const size_t n = std::min(max, cq_.size());
-    out.insert(out.end(), cq_.begin(), cq_.begin() + static_cast<long>(n));
-    cq_.erase(cq_.begin(), cq_.begin() + static_cast<long>(n));
-    return n;
+    const uint64_t deadline = nowNs() + timeout_us * 1000;
+    while (true) {
+        const size_t n = pollCompletions(out, max);
+        const uint64_t now = nowNs();
+        if (n > 0 || now >= deadline)
+            return n;
+        // The timer fires when the head request is due (or, if another
+        // reaper took it first, it has been re-armed for the next one).
+        pollfd pfd{timer_fd_, POLLIN, 0};
+        const timespec ts = toTimespec(deadline - now);
+        ::ppoll(&pfd, 1, &ts, nullptr);
+    }
 }
 
 Status
@@ -413,13 +391,11 @@ SsdDevice::writeSync(uint64_t offset, const void *src, uint32_t length)
 void
 SsdDevice::simulateCrash()
 {
-    std::lock_guard<std::mutex> sq_lock(sq_mu_);
-    std::lock_guard<std::mutex> cq_lock(cq_mu_);
-    size_t dropped = pending_.size();
-    while (!pending_.empty())
-        pending_.pop();
-    dropped += cq_.size();
-    cq_.clear();
+    std::lock_guard<std::mutex> lock(sq_mu_);
+    const size_t dropped = pending_.size();
+    pending_ = {};
+    if (armed_ns_ != kDisarmed)
+        setTimer(kDisarmed);
     inflight_.fetch_sub(dropped, std::memory_order_acq_rel);
     ins_.inflight->sub(static_cast<int64_t>(dropped));
     std::fill(channel_free_at_.begin(), channel_free_at_.end(), 0);

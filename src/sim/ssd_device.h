@@ -20,6 +20,15 @@
  * (§4.2, Fig 11), and aggregate bandwidth scales with the number of
  * devices (Fig 13).
  *
+ * The device starts no thread. Its "interrupt" is one timerfd
+ * (CLOCK_MONOTONIC, absolute time) set for the due time of the earliest
+ * pending request: submit() re-arms it only when a new request is due
+ * before the armed time, and the reaper that calls waitCompletions()
+ * sleeps in ppoll() on it, so the kernel timer wakes the reaper directly
+ * (one hop, and a timerfd expiry has no timer slack). A request is
+ * delivered — its latency stamped, the inflight count dropped — when a
+ * reaper takes it from the due-ordered queue.
+ *
  * Data is stored in sparse in-process pages, so a multi-gigabyte device
  * only consumes memory for blocks actually written. Completed writes
  * survive a simulated crash; queued-but-incomplete ones may be lost.
@@ -27,13 +36,11 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <queue>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
@@ -62,8 +69,8 @@ class SsdDevice : public io::IoBackend {
     /**
      * @param capacity_bytes device capacity (rounded up to a block).
      * @param profile        timing profile (default Samsung 980 Pro).
-     * @param model_timing   when false, requests complete instantly
-     *                       (useful for unit tests).
+     * @param model_timing   when false, a request is due as soon as it
+     *                       is submitted (useful for unit tests).
      */
     explicit SsdDevice(uint64_t capacity_bytes,
                        const DeviceProfile &profile = kSamsung980ProProfile,
@@ -81,7 +88,8 @@ class SsdDevice : public io::IoBackend {
     /**
      * Submit a batch of requests (the io_uring_submit analogue).
      * Data is transferred atomically per request; the completion is
-     * delivered once the modelled device time has elapsed.
+     * delivered to the first reaper that polls once the modelled device
+     * time has elapsed.
      */
     Status submit(std::span<const SsdIoRequest> batch) override;
 
@@ -131,23 +139,30 @@ class SsdDevice : public io::IoBackend {
 
   private:
     static constexpr uint64_t kPageSize = 256 * 1024;
+    static constexpr uint64_t kDisarmed = UINT64_MAX;
 
     struct Pending {
         uint64_t due_ns;
         uint64_t submit_ns;
         uint64_t start_ns = 0;   ///< when a channel picked the request up
         uint32_t channel = 0;    ///< which channel served it
-        uint64_t trace_id = 0;   ///< pairing id for queue-wait trace events
+        uint64_t trace_id = 0;   ///< queue-wait pairing id; FIFO tiebreak
         SsdCompletion completion;
 
-        bool operator>(const Pending &o) const { return due_ns > o.due_ns; }
+        bool operator>(const Pending &o) const
+        {
+            return due_ns != o.due_ns ? due_ns > o.due_ns
+                                      : trace_id > o.trace_id;
+        }
     };
 
     uint8_t *pageFor(uint64_t page_index, bool allocate);
     void copyIn(uint64_t offset, const void *src, uint32_t len);
     void copyOut(uint64_t offset, void *dst, uint32_t len);
     uint64_t serviceTimeNs(const SsdIoRequest &req, uint64_t now);
-    void workerLoop();
+    /** Set the timer to fire at @p due_ns (kDisarmed stops it). Needs
+     *  sq_mu_. Setting it also clears an expiry nobody has consumed. */
+    void setTimer(uint64_t due_ns);
 
     uint64_t capacity_;
     DeviceProfile profile_;
@@ -163,19 +178,16 @@ class SsdDevice : public io::IoBackend {
     std::unique_ptr<TokenBucket> read_bw_;
     std::unique_ptr<TokenBucket> write_bw_;
 
-    // Pending completions ordered by due time.
+    // Submitted, unreaped requests ordered by due time, and the timer
+    // set for the head's due time (guarded by sq_mu_). The timerfd is
+    // readable exactly when armed_ns_ has passed, i.e. while a request
+    // is due and unreaped.
     std::priority_queue<Pending, std::vector<Pending>, std::greater<>>
         pending_;
-    std::condition_variable sq_cv_;
-
-    // Completion queue.
-    std::mutex cq_mu_;
-    std::condition_variable cq_cv_;
-    std::vector<SsdCompletion> cq_;
+    int timer_fd_ = -1;
+    uint64_t armed_ns_ = kDisarmed;
 
     std::atomic<uint64_t> inflight_{0};
-    std::atomic<bool> stop_{false};
-    std::thread worker_;
 
     SsdStats stats_;
 

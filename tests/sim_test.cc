@@ -5,7 +5,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstring>
+#include <filesystem>
+#include <thread>
 
 #include "common/clock.h"
 #include "common/waiter.h"
@@ -115,6 +119,92 @@ TEST(SsdDeviceTest, TimedReadHasModeledLatency)
     // 980 Pro read latency is 50 us; allow generous slack upward.
     EXPECT_GE(dt, 45 * 1000u);
     EXPECT_GE(done[0].latency_ns, 40 * 1000u);
+}
+
+size_t
+threadCount()
+{
+    const std::filesystem::directory_iterator tasks("/proc/self/task");
+    return static_cast<size_t>(std::distance(begin(tasks), end(tasks)));
+}
+
+TEST(SsdDeviceTest, DeviceStartsNoThread)
+{
+    const size_t before = threadCount();
+    std::vector<std::unique_ptr<SsdDevice>> devices;
+    for (int i = 0; i < 4; i++)
+        devices.push_back(std::make_unique<SsdDevice>(16 << 20));
+    EXPECT_EQ(threadCount(), before);
+}
+
+TEST(SsdDeviceTest, LoneReadDeliveredNearModel)
+{
+    // The reaper sleeps on the device's timer, so a lone read is
+    // delivered close to its modelled time, not a timer slack later.
+    SsdDevice dev(16 << 20, kSamsung980ProProfile, /*timing=*/true);
+    std::vector<uint8_t> buf(1024);
+    std::vector<uint64_t> latency;
+    for (uint64_t i = 0; i < 200; i++) {
+        SsdIoRequest req;
+        req.op = SsdIoRequest::Op::kRead;
+        req.offset = i * 4096;
+        req.length = 1024;
+        req.buf = buf.data();
+        req.user_data = i;
+        ASSERT_TRUE(dev.submit(req).isOk());
+        std::vector<SsdCompletion> done;
+        while (done.empty())
+            dev.waitCompletions(done, 1, 1000);
+        latency.push_back(done[0].latency_ns);
+    }
+    std::nth_element(latency.begin(), latency.begin() + 100, latency.end());
+    EXPECT_LT(latency[100],
+              kSamsung980ProProfile.read_latency_ns + 20 * 1000u);
+}
+
+TEST(SsdDeviceTest, ConcurrentReapersSeeEachCompletionOnce)
+{
+    SsdDevice dev(16 << 20, kSamsung980ProProfile, /*timing=*/true);
+    constexpr int kReads = 2000;
+    std::vector<std::atomic<int>> seen(kReads);
+    std::atomic<int> reaped{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 2; t++) {
+        threads.emplace_back([&, t] {
+            std::vector<uint8_t> buf(1024);
+            for (int i = t; i < kReads; i += 2) {
+                SsdIoRequest req;
+                req.op = SsdIoRequest::Op::kRead;
+                req.offset = static_cast<uint64_t>(i) * 4096;
+                req.length = 1024;
+                req.buf = buf.data();
+                req.user_data = static_cast<uint64_t>(i);
+                EXPECT_TRUE(dev.submit(req).isOk());
+            }
+        });
+    }
+    for (int t = 0; t < 2; t++) {
+        threads.emplace_back([&] {
+            // A small reap size leaves due requests behind for the
+            // other reaper.
+            std::vector<SsdCompletion> done;
+            const uint64_t give_up = nowNs() + 20ull * 1000 * 1000 * 1000;
+            while (reaped.load() < kReads && nowNs() < give_up) {
+                done.clear();
+                dev.waitCompletions(done, 3, 1000);
+                for (const auto &c : done) {
+                    EXPECT_TRUE(c.status.isOk());
+                    seen[c.user_data].fetch_add(1);
+                }
+                reaped.fetch_add(static_cast<int>(done.size()));
+            }
+        });
+    }
+    for (auto &t : threads)
+        t.join();
+    for (int i = 0; i < kReads; i++)
+        EXPECT_EQ(seen[static_cast<size_t>(i)].load(), 1) << "read " << i;
+    EXPECT_EQ(dev.inflight(), 0u);
 }
 
 TEST(SsdDeviceTest, RejectsOutOfRange)

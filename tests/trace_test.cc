@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cctype>
 #include <chrono>
+#include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
@@ -320,6 +321,17 @@ TEST(TraceConcurrencyTest, EightWritersOneExporter)
 // ---------------------------------------------------------------------
 // Export format.
 // ---------------------------------------------------------------------
+
+TEST(TraceExportTest, ThreadNameIsVisibleToTheOs)
+{
+    onFreshThread([] {
+        TraceRegistry::global().setThreadName("vs-completion-12");
+        std::ifstream comm("/proc/thread-self/comm");
+        std::string os_name;
+        std::getline(comm, os_name);
+        EXPECT_EQ(os_name, "vs-completion-1");  // truncated to 15 bytes
+    });
+}
 
 TEST(TraceExportTest, JsonParsesAndSpansNest)
 {
