@@ -170,9 +170,10 @@ quantileUs(std::vector<uint64_t> &v, double q)
  * Single 1 KB reads into a timed 980 Pro device, paced at 10 K/s, while
  * a reaper thread blocks in waitCompletions: the way the RESP loop
  * issues Value Storage misses and the VS completion thread reaps them.
- * Counters: submit() p50/p90 and submit-to-reap p50, in µs. Compare the
- * submit cost with SsdDevice::kSubmitOverheadNs, and submit-to-reap
- * with the profile's 50 µs read latency.
+ * Counters, in µs: submit() p50/p90, submit-to-reap p50, and the
+ * completions' own latency_ns p50 (device_p50_us). Compare the submit
+ * cost with SsdDevice::kSubmitOverheadNs, and the latencies with the
+ * profile's 50 µs read latency.
  */
 void
 BM_SsdLoneRead(benchmark::State &state)
@@ -180,7 +181,7 @@ BM_SsdLoneRead(benchmark::State &state)
     constexpr uint64_t kGapNs = 100000;  // 10 K reads/s
     sim::SsdDevice dev(64ull << 20);
     const auto n = static_cast<size_t>(state.max_iterations);
-    std::vector<uint64_t> submit_ns(n), issued_at(n);
+    std::vector<uint64_t> submit_ns(n), issued_at(n), device_ns(n);
     std::vector<std::atomic<uint64_t>> reaped_at(n);
     std::atomic<bool> stop{false};
     std::thread reaper([&] {
@@ -189,8 +190,10 @@ BM_SsdLoneRead(benchmark::State &state)
             done.clear();
             dev.waitCompletions(done, 16, 1000);
             const uint64_t now = nowNs();
-            for (const auto &c : done)
+            for (const auto &c : done) {
+                device_ns[c.user_data] = c.latency_ns;
                 reaped_at[c.user_data].store(now, std::memory_order_release);
+            }
         }
     });
 
@@ -209,8 +212,10 @@ BM_SsdLoneRead(benchmark::State &state)
         req.offset = (i % 4096) * 4096;
         req.user_data = i;
         const uint64_t t0 = nowNs();
-        if (!dev.submit(req).isOk())
+        if (!dev.submit(req).isOk()) {
             state.SkipWithError("submit failed");
+            break;
+        }
         submit_ns[i] = nowNs() - t0;
         issued_at[i++] = t0;
     }
@@ -225,9 +230,11 @@ BM_SsdLoneRead(benchmark::State &state)
     for (size_t k = 0; k < i; k++)
         reap_ns[k] = reaped_at[k].load() - issued_at[k];
     submit_ns.resize(i);
+    device_ns.resize(i);
     state.counters["submit_p50_us"] = quantileUs(submit_ns, 0.5);
     state.counters["submit_p90_us"] = quantileUs(submit_ns, 0.9);
     state.counters["reap_p50_us"] = quantileUs(reap_ns, 0.5);
+    state.counters["device_p50_us"] = quantileUs(device_ns, 0.5);
 }
 BENCHMARK(BM_SsdLoneRead)->Iterations(20000)->UseRealTime();
 

@@ -64,9 +64,10 @@ ValueStorage::completionLoop()
     std::vector<io::IoCompletion> completions;
     while (!stop_.load(std::memory_order_acquire)) {
         completions.clear();
-        // Completions wake this wait via the device's CQ condvar; the
-        // timeout only bounds shutdown latency, so keep it long enough
-        // that an idle device costs ~100 wakeups/s, not 5000.
+        // Completions wake this wait (the simulator's timer, a file
+        // backend's CQ condvar); the timeout only bounds shutdown
+        // latency, so keep it long enough that an idle device costs
+        // ~100 wakeups/s, not 5000.
         device_->waitCompletions(completions, 256, 10000);
         for (const auto &c : completions)
             reinterpret_cast<AsyncIoHandler *>(c.user_data)
