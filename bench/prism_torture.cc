@@ -13,8 +13,10 @@
  *
  *  - degradation iterations: injected SSD errors, chunk-write faults,
  *    bg-task faults and a mid-run device dropout run against the full
- *    put/get/del/scan/multiGet mix; after the faults clear, the store
- *    must contain exactly the expected map.
+ *    put/get/del/scan/multiGet mix, with an SVC and a GC watermark
+ *    small enough that scan reorganisation and GC both run under them;
+ *    after the faults clear, the store must contain exactly the
+ *    expected map.
  *
  * On failure it prints the --seed and the armed fault schedule (the
  * repro recipe) and writes repro.txt, stats.json and trace.json to the
@@ -385,8 +387,16 @@ runCrashIteration(Xorshift &rng)
 void
 runDegradationIteration(Xorshift &rng)
 {
+    core::PrismOptions opts = tortureOptions();
+    // Relocation writers under the faults: a PWB small enough that most
+    // values live on the SSDs, an SVC that evicts scanned ranges (so
+    // they are reorganised) and GC whenever a chunk is in use.
+    opts.pwb_size_bytes = 64 * 1024;
+    opts.svc_capacity_bytes = 1024;
+    opts.vs_gc_watermark = 0.0;
     const int num_ssds = 2 + static_cast<int>(rng.nextUniform(2));
-    Rig rig(tortureOptions(), num_ssds, /*tracked=*/false);
+    Rig rig(opts, num_ssds, /*tracked=*/false);
+    const auto before = stats::StatsRegistry::global().snapshot();
     auto &freg = fault::FaultRegistry::global();
     armTransientFaults(rng, rig);
     g_ctx.schedule = freg.scheduleString();
@@ -447,6 +457,10 @@ runDegradationIteration(Xorshift &rng)
     rig.ssds[dropout_dev]->setDropout(false);
     freg.disarmAll();
     rig.db->flushAll();
+    const auto after = stats::StatsRegistry::global().snapshot();
+    for (const char *moved : {"prism.svc.scan_reorgs", "prism.vs.gc_passes"})
+        TORTURE_CHECK(after.counterDelta(before, moved) > 0,
+                      "%s did not move", moved);
 
     // Strict verification with the faults gone.
     TORTURE_CHECK(rig.db->size() == expected.size(),

@@ -34,14 +34,19 @@ ChunkWriter::ChunkWriter(std::vector<ValueStorage *> targets, uint64_t seed,
 
 ChunkWriter::~ChunkWriter()
 {
-    // A writer abandoned before finish() must still drain its I/O, so
-    // that no completion names a freed ticket.
+    // A writer dropped early discards its unwritten tail but drains its
+    // I/O, so that no completion names a freed ticket. Without
+    // settleAll() nothing it wrote was published: its sealed chunks are
+    // settled for GC to reclaim as garbage, and a held open chunk goes
+    // back at the fill it was taken at.
     if (!finished_)
-        (void)finish();
+        (void)finishFullChunksOnly();
+    dropCurrent();
+    settleAll();
 }
 
 bool
-ChunkWriter::openChunk()
+ChunkWriter::openChunk(uint64_t bytes)
 {
     // Prefer a healthy, idle Value Storage (no in-flight requests),
     // falling back to any healthy one, then to a random target — §5.2's
@@ -66,23 +71,40 @@ ChunkWriter::openChunk()
     if (pick == nullptr)
         pick = targets_[start];
 
-    int64_t chunk = pick->allocChunk();
-    if (chunk < 0) {
-        // The preferred target is full; try the others.
-        for (ValueStorage *vs : targets_) {
+    // Barrier mode appends to the target's open chunk when the record
+    // fits; one without room is sealed at its fill (its records are all
+    // published) and a fresh chunk is allocated instead.
+    uint32_t fill = 0;
+    const auto claim = [&](ValueStorage *vs) {
+        int64_t chunk = callback_ ? -1 : vs->takeOpenChunk(&fill);
+        if (chunk >= 0 && fill + bytes > chunk_bytes_) {
+            vs->sealChunk(chunk, fill);
+            vs->settleChunk(chunk);
+            chunk = -1;
+        }
+        if (chunk < 0) {
+            fill = 0;
             chunk = vs->allocChunk();
-            if (chunk >= 0) {
-                pick = vs;
+        }
+        if (chunk >= 0) {
+            cur_vs_ = vs;
+            cur_chunk_ = chunk;
+        }
+        return chunk >= 0;
+    };
+    if (!claim(pick)) {
+        // The preferred target is full; try the others.
+        bool claimed = false;
+        for (ValueStorage *vs : targets_) {
+            if (vs != pick && claim(vs)) {
+                claimed = true;
                 break;
             }
         }
+        if (!claimed)
+            return false;
     }
-    if (chunk < 0)
-        return false;
-
-    cur_vs_ = pick;
-    cur_chunk_ = chunk;
-    cur_used_ = 0;
+    cur_base_ = cur_used_ = fill;
     cur_first_record_ = records_added_;
     if (!cur_buf_)
         cur_buf_.reset(new uint8_t[chunk_bytes_]);
@@ -97,10 +119,10 @@ ChunkWriter::add(uint64_t hsit_idx, uint64_t key, const void *data,
     const uint64_t bytes = recordBytes(size);
     PRISM_CHECK(bytes <= chunk_bytes_);
     if (cur_vs_ != nullptr && cur_used_ + bytes > chunk_bytes_) {
-        const Status st = submitCurrent();
+        const Status st = submitCurrent(/*seal=*/true);
         PRISM_CHECK(st.isOk());
     }
-    if (cur_vs_ == nullptr && !openChunk())
+    if (cur_vs_ == nullptr && !openChunk(bytes))
         return ValueAddr();
 
     auto *hdr = reinterpret_cast<ValueRecordHeader *>(
@@ -153,16 +175,30 @@ ChunkWriter::reapFront(bool block)
     }
     reg_inflight_->sub(1);
     if (f.ticket->failed()) {
-        // Permanent failure: these records never became durable on SSD.
-        // Recycle the chunk unwritten (nothing references it — the
-        // callback that would have published the addresses never fires)
-        // and remember the record range so the caller can re-queue or
-        // skip those records.
+        // Permanent failure: these records never became durable on SSD,
+        // and nothing references them (the callback that would have
+        // published the addresses never fires). Remember the record
+        // range so the caller can re-queue or skip those records.
         reg_write_failures_->inc();
         failed_ranges_.emplace_back(f.first_record, f.record_count);
-        f.vs->freeChunkDeferred(f.chunk);
-    } else if (callback_) {
-        callback_(f.vs, f.chunk, f.first_record, f.record_count);
+        if (!f.seal)
+            cur_vs_ = nullptr;  // give up the held open chunk
+        if (f.base == 0) {
+            // This writer's own chunk: recycle it unwritten.
+            f.vs->freeChunkDeferred(f.chunk);
+        } else {
+            // Earlier writers' published records stay: seal the chunk
+            // at its durable prefix.
+            f.vs->sealChunk(f.chunk, f.base);
+            f.vs->settleChunk(f.chunk);
+        }
+    } else {
+        if (f.seal)
+            f.vs->sealChunk(f.chunk, f.used);
+        if (callback_)
+            callback_(f.vs, f.chunk, f.first_record, f.record_count);
+        else if (f.seal)
+            written_.emplace_back(f.vs, f.chunk);
     }
     span.arg(PRISM_TRACE_NID("records"), f.record_count);
     span.arg(PRISM_TRACE_NID("wall_ns"), nowNs() - f.submit_ns);
@@ -183,14 +219,14 @@ ChunkWriter::pollCompleted()
 }
 
 Status
-ChunkWriter::submitCurrent()
+ChunkWriter::submitCurrent(bool seal)
 {
-    if (cur_vs_ == nullptr)
-        return Status::ok();
     InFlight f;
     f.vs = cur_vs_;
     f.chunk = cur_chunk_;
+    f.base = cur_base_;
     f.used = cur_used_;
+    f.seal = seal;
     f.buf = std::move(cur_buf_);
     f.ticket = std::make_unique<WriteTicket>();
     f.first_record = cur_first_record_;
@@ -200,14 +236,11 @@ ChunkWriter::submitCurrent()
     const Status st = submitTicketed(f);
     if (!st.isOk())
         return st;
-    f.vs->sealChunk(f.chunk, f.used);
-    written_.emplace_back(f.vs, f.chunk);
     submitted_records_ += f.record_count;
     reg_inflight_->add(1);
     inflight_.push_back(std::move(f));
-    cur_vs_ = nullptr;
-    cur_chunk_ = -1;
-    cur_used_ = 0;
+    if (seal)
+        cur_vs_ = nullptr;  // else held until settleAll() hands it back
 
     // Pipeline discipline: reap whatever already completed, then bound
     // the outstanding window by blocking on the oldest write.
@@ -225,18 +258,13 @@ ChunkWriter::finish()
     if (finished_)
         return Status::ok();
     finished_ = true;
-    if (cur_vs_ != nullptr && cur_used_ > 0) {
-        // finished_ guard above lets submitCurrent run normally.
-        finished_ = false;
-        const Status st = submitCurrent();
-        finished_ = true;
+    if (cur_vs_ != nullptr) {
+        // Barrier mode keeps a chunk with room open: it writes only the
+        // bytes this writer added, and settleAll() hands it back.
+        const bool hold = !callback_ && cur_used_ < chunk_bytes_;
+        const Status st = submitCurrent(/*seal=*/!hold);
         if (!st.isOk())
             return st;
-    } else if (cur_vs_ != nullptr) {
-        // Open but empty chunk: just recycle it.
-        cur_vs_->sealChunk(cur_chunk_, 0);
-        cur_vs_->freeChunkDeferred(cur_chunk_);
-        cur_vs_ = nullptr;
     }
     while (!inflight_.empty())
         reapFront(/*block=*/true);
@@ -249,15 +277,7 @@ ChunkWriter::finishFullChunksOnly()
     if (finished_)
         return submitted_records_;
     finished_ = true;
-    if (cur_vs_ != nullptr) {
-        // Discard the partial tail unwritten; nothing references its
-        // chunk, so it goes straight back through the free list.
-        cur_vs_->sealChunk(cur_chunk_, 0);
-        cur_vs_->freeChunkDeferred(cur_chunk_);
-        cur_vs_ = nullptr;
-        cur_chunk_ = -1;
-        cur_used_ = 0;
-    }
+    dropCurrent();  // discard the partial tail unwritten
     while (!inflight_.empty())
         reapFront(/*block=*/true);
     return submitted_records_;
@@ -272,8 +292,8 @@ ChunkWriter::submitTicketed(InFlight &f)
         f.ticket->onIoComplete(Status::ioError("injected chunk write"));
         return Status::ok();
     }
-    return f.vs->submitChunkWrite(f.chunk, f.buf.get(), f.used,
-                                  f.ticket.get());
+    return f.vs->submitChunkWrite(f.chunk, f.base, f.buf.get() + f.base,
+                                  f.used - f.base, f.ticket.get());
 }
 
 bool
@@ -296,10 +316,28 @@ ChunkWriter::firstFailedRecord() const
 }
 
 void
+ChunkWriter::dropCurrent()
+{
+    if (cur_vs_ == nullptr)
+        return;
+    // Nothing this writer put in the chunk is referenced.
+    if (cur_base_ == 0)
+        cur_vs_->freeChunkDeferred(cur_chunk_);
+    else
+        cur_vs_->returnOpenChunk(cur_chunk_, cur_base_);
+    cur_vs_ = nullptr;
+}
+
+void
 ChunkWriter::settleAll()
 {
     for (auto &[vs, chunk] : written_)
         vs->settleChunk(chunk);
+    written_.clear();
+    if (cur_vs_ != nullptr) {
+        cur_vs_->returnOpenChunk(cur_chunk_, cur_used_);
+        cur_vs_ = nullptr;
+    }
 }
 
 }  // namespace prism::core

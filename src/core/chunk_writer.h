@@ -10,9 +10,13 @@
  *
  * Addresses are assigned at add() time. Durability comes in two
  * flavours:
- *  - Barrier mode (default): finish() submits the final partial chunk
- *    and waits for every outstanding write; the caller then publishes
- *    all addresses at once.
+ *  - Barrier mode (no chunk callback; GC and scan reorganisation):
+ *    records go to the target's *open chunk*, appended at its fill, so
+ *    a relocation of a few records does not cost a chunk of its own.
+ *    finish() waits for every outstanding write, writing only the bytes
+ *    this writer added to a chunk it does not fill; the caller then
+ *    publishes all addresses at once, and settleAll() hands the open
+ *    chunk back for the next writer. A chunk is sealed once full.
  *  - Pipeline mode (max_inflight > 0 + a chunk callback): at most
  *    max_inflight chunk writes are kept outstanding, and as each chunk
  *    completes the callback fires with the contiguous record range that
@@ -87,8 +91,10 @@ class ChunkWriter {
 
     /**
      * Submit the final partial chunk and wait for every outstanding
-     * chunk write to complete (firing remaining callbacks). After
-     * finish(), every address returned by add() is durable on SSD —
+     * chunk write to complete (firing remaining callbacks). In barrier
+     * mode a partial last chunk is written but not sealed: the writer
+     * holds it as the open chunk until settleAll(). After finish(),
+     * every address returned by add() is durable on SSD —
      * except records reported by recordFailed()/firstFailedRecord(),
      * whose chunk writes failed permanently after retries (injected
      * faults or device dropout) and which fired no callback.
@@ -110,19 +116,15 @@ class ChunkWriter {
     size_t finishFullChunksOnly();
 
     /**
-     * Mark every written chunk GC-eligible. Barrier-mode callers invoke
-     * it after finish() and after the new records' validity bits have
-     * been set; GC skips unsettled chunks so it cannot recycle one
-     * mid-publish. Idempotent, so pipeline-mode callbacks that already
-     * settled their chunks are unaffected.
+     * Mark every chunk this writer sealed GC-eligible and hand the open
+     * chunk back to its Value Storage. Barrier-mode callers invoke it
+     * after finish() and after the new records' validity bits have been
+     * set: GC skips unsettled chunks so it cannot recycle one
+     * mid-publish, and a chunk handed back earlier could be filled,
+     * sealed and settled by another writer before those bits are set.
+     * A barrier writer destroyed without it published nothing.
      */
     void settleAll();
-
-    /** Number of chunks written (diagnostics). */
-    size_t chunksWritten() const { return written_.size(); }
-
-    /** Number of records appended so far (callback record numbering). */
-    size_t recordsAdded() const { return records_added_; }
 
     /**
      * True when record @p idx (add() numbering) was in a chunk whose
@@ -144,7 +146,9 @@ class ChunkWriter {
     struct InFlight {
         ValueStorage *vs;
         int64_t chunk;
+        uint32_t base;  ///< fill when taken; the write covers [base, used)
         uint32_t used;
+        bool seal;      ///< false for the open chunk a barrier writer holds
         std::unique_ptr<uint8_t[]> buf;
         std::unique_ptr<WriteTicket> ticket;
         size_t first_record;
@@ -152,11 +156,18 @@ class ChunkWriter {
         uint64_t submit_ns;  ///< when the device write was submitted
     };
 
-    /** Pick a Value Storage (healthy + idle preferred), allocate a chunk. */
-    bool openChunk();
+    /**
+     * Pick a Value Storage (healthy + idle preferred) and claim a chunk
+     * with room for @p bytes: its open chunk in barrier mode, else a
+     * fresh one.
+     */
+    bool openChunk(uint64_t bytes);
 
-    /** Submit the currently open chunk. */
-    Status submitCurrent();
+    /** Submit the current chunk's new bytes; sealed once written. */
+    Status submitCurrent(bool seal);
+
+    /** Give up the current chunk, nothing in it published by this writer. */
+    void dropCurrent();
 
     /** Device submit for @p f, honouring the pwb.chunk_write fault site. */
     Status submitTicketed(InFlight &f);
@@ -172,6 +183,7 @@ class ChunkWriter {
 
     ValueStorage *cur_vs_ = nullptr;
     int64_t cur_chunk_ = -1;
+    uint32_t cur_base_ = 0;  ///< earlier writers' bytes in cur_chunk_
     uint32_t cur_used_ = 0;
     std::unique_ptr<uint8_t[]> cur_buf_;
     size_t cur_first_record_ = 0;
@@ -180,7 +192,7 @@ class ChunkWriter {
 
     /** Outstanding writes, oldest first; reaped in submission order. */
     std::deque<InFlight> inflight_;
-    /** Every chunk ever submitted, for settleAll(). */
+    /** Barrier mode's sealed chunks, until settleAll(). */
     std::vector<std::pair<ValueStorage *, int64_t>> written_;
     /** Record ranges whose chunk write failed permanently. */
     std::vector<std::pair<size_t, size_t>> failed_ranges_;

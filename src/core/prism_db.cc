@@ -1047,7 +1047,7 @@ PrismDb::dispatchGc(size_t vs_id)
     reg_.gc_dispatches->inc();
     bg_inflight_.fetch_add(1, std::memory_order_acq_rel);
     bg_pool_->submit(bg_source_, [this, vs_id] {
-        value_storages_[vs_id]->runGcPass(*hsit_);
+        value_storages_[vs_id]->runGcPass(*hsit_, svc_.get());
         gc_scheduled_[vs_id].store(false, std::memory_order_release);
         epochs_.tryAdvance();
         bg_inflight_.fetch_sub(1, std::memory_order_acq_rel);
@@ -1064,7 +1064,7 @@ PrismDb::runGcRoundParallel()
     PRISM_TRACE_SPAN("vs.gc_round");
     bg_pool_->parallelFor(bg_source_, value_storages_.size(),
                           [this](size_t i) {
-        value_storages_[i]->runGcPass(*hsit_);
+        value_storages_[i]->runGcPass(*hsit_, svc_.get());
     });
 }
 
@@ -1187,7 +1187,7 @@ PrismDb::forceGc()
         std::atomic<size_t> reclaimed{0};
         bg_pool_->parallelFor(bg_source_, needy.size(), [&](size_t i) {
             reclaimed.fetch_add(
-                value_storages_[needy[i]]->runGcPass(*hsit_),
+                value_storages_[needy[i]]->runGcPass(*hsit_, svc_.get()),
                 std::memory_order_relaxed);
         });
         epochs_.drain();

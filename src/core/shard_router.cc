@@ -90,6 +90,7 @@ ShardRouter::ShardRouter(const PrismOptions &opts,
     reg_pwb_cap_ = &reg.gauge("prism.pwb.capacity_bytes", "bytes");
     reg_svc_used_ = &reg.gauge("prism.svc.used_bytes", "bytes");
     reg_svc_cap_ = &reg.gauge("prism.svc.capacity_bytes", "bytes");
+    reg_vs_chunks_ = &reg.gauge("prism.vs.chunks_in_use", "chunks");
     reg_shard_ops_.resize(n);
     reg_shard_keys_.resize(n);
     shards_.reserve(n);
@@ -170,6 +171,7 @@ void
 ShardRouter::publishOccupancy()
 {
     uint64_t pwb_used = 0, pwb_cap = 0, svc_used = 0, svc_cap = 0;
+    uint64_t vs_chunks = 0;
     for (size_t i = 0; i < shards_.size(); i++) {
         PrismDb &s = *shards_[i];
         reg_shard_keys_[i]->set(s.size());
@@ -177,11 +179,16 @@ ShardRouter::publishOccupancy()
         pwb_cap += s.pwbCapacityBytes();
         svc_used += s.svc().usedBytes();
         svc_cap += s.svc().capacityBytes();
+        for (size_t v = 0; v < s.valueStorageCount(); v++) {
+            const ValueStorage &vs = s.valueStorage(v);
+            vs_chunks += vs.totalChunks() - vs.freeChunks();
+        }
     }
     reg_pwb_used_->set(pwb_used);
     reg_pwb_cap_->set(pwb_cap);
     reg_svc_used_->set(svc_used);
     reg_svc_cap_->set(svc_cap);
+    reg_vs_chunks_->set(vs_chunks);
 }
 
 ErrorBudget

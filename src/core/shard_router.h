@@ -218,7 +218,8 @@ class ShardRouter {
 
     /**
      * Refresh the derived gauges in the stats registry: per-shard key
-     * counts and the PWB/SVC occupancy summed over shards. Registered as
+     * counts and the PWB/SVC/Value Storage occupancy summed over shards.
+     * Registered as
      * the telemetry probe and run before every /metrics render; also
      * useful before a manual snapshot.
      */
@@ -275,6 +276,7 @@ class ShardRouter {
     stats::Gauge *reg_pwb_cap_ = nullptr;
     stats::Gauge *reg_svc_used_ = nullptr;
     stats::Gauge *reg_svc_cap_ = nullptr;
+    stats::Gauge *reg_vs_chunks_ = nullptr;
 
     /** Router-level async scans on the pool; drained by the dtor. */
     std::atomic<uint64_t> async_scan_inflight_{0};

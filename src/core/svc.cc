@@ -375,8 +375,9 @@ Svc::reorganizeChain(SvcEntry *evictee)
 {
     PRISM_TRACE_SPAN("svc.reorg");
     // Walk the doubly-linked chain formed at scan time (no extra lookup
-    // needed, §4.4), collect the members, and rewrite them sorted into a
-    // fresh chunk so the range becomes one sequential read.
+    // needed, §4.4), collect the members, and rewrite them sorted and
+    // contiguous (appended to an open chunk) so the range becomes one
+    // sequential read.
     std::vector<SvcEntry *> chain;
     for (SvcEntry *e = evictee; e != nullptr; e = e->scan_prev)
         chain.push_back(e);
@@ -408,6 +409,8 @@ Svc::reorganizeChain(SvcEntry *evictee)
         return a.e->key < b.e->key;
     });
 
+    // An early return publishes nothing; the writer's destructor then
+    // settles its chunks as garbage and hands back the open chunk.
     ChunkWriter writer(targets_);
     std::vector<ValueAddr> new_addrs;
     new_addrs.reserve(items.size());
@@ -430,15 +433,20 @@ Svc::reorganizeChain(SvcEntry *evictee)
     };
 
     // Pre-mark the copies live so a concurrent GC pass cannot judge the
-    // destination chunk empty before the CASes land.
+    // destination chunk empty before the CASes land. A record whose
+    // chunk write failed permanently is skipped and keeps its old copy.
     for (size_t i = 0; i < items.size(); i++) {
-        vs_by_id(new_addrs[i].ssdId())
-            ->setValid(new_addrs[i].offset(), new_addrs[i].recordBytes());
+        if (!writer.recordFailed(i))
+            vs_by_id(new_addrs[i].ssdId())
+                ->setValid(new_addrs[i].offset(),
+                           new_addrs[i].recordBytes());
     }
     writer.settleAll();
     size_t moved = 0;
     for (size_t i = 0; i < items.size(); i++) {
         const auto &it = items[i];
+        if (writer.recordFailed(i))
+            continue;
         if (hsit_.casPrimaryDurable(it.e->hsit_idx, it.old_addr,
                                     new_addrs[i])) {
             vs_by_id(it.old_addr.ssdId())

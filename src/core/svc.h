@@ -19,8 +19,8 @@
  *     back to capacity.
  *  3. *Scan awareness* — values returned by one scan are chained in a
  *     doubly-linked list; when one of them is evicted, the whole chain
- *     is sorted by key and rewritten into a single Value Storage chunk,
- *     restoring spatial locality for future scans.
+ *     is sorted by key and rewritten contiguously, appended to a Value
+ *     Storage's open chunk, restoring spatial locality for future scans.
  *
  * Staleness safety: an SVC entry remembers the Value Storage address its
  * payload was copied from (`vs_raw`). Readers accept the cached copy
@@ -98,7 +98,9 @@ class Svc {
 
     /**
      * Re-bind a cached entry after its on-SSD record moved (GC): keeps
-     * the cache warm across relocations.
+     * the cache warm across relocations. Without it the stale entry
+     * misses yet keeps the HSIT's SVC slot, so every re-read's admit
+     * loses its CAS until the LRU evicts it.
      */
     void rebind(uint64_t hsit_idx, uint64_t old_raw, uint64_t new_raw);
 

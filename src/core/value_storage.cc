@@ -8,6 +8,7 @@
 #include "common/numa.h"
 #include "common/trace.h"
 #include "core/chunk_writer.h"
+#include "core/svc.h"
 
 namespace prism::core {
 
@@ -28,6 +29,7 @@ ValueStorage::ValueStorage(uint32_t ssd_id,
     reg_gc_reclaimed_chunks_ =
         &reg.counter("prism.vs.gc_reclaimed_chunks", "chunks");
     reg_gc_pass_ns_ = &reg.histogram("prism.vs.gc_pass_ns", "ns");
+    reg_sealed_bytes_ = &reg.histogram("prism.vs.sealed_chunk_bytes", "bytes");
     reg_retries_ = &reg.counter("prism.vs.retries", "ops");
     reg_degraded_ = &reg.counter("prism.vs.degraded", "ops");
     const size_t words = (unitsPerChunk() + 63) / 64;
@@ -102,13 +104,14 @@ ValueStorage::allocChunk()
 }
 
 Status
-ValueStorage::submitChunkWrite(int64_t chunk, const uint8_t *buf,
-                               uint32_t len, WriteTicket *ticket)
+ValueStorage::submitChunkWrite(int64_t chunk, uint32_t offset,
+                               const uint8_t *buf, uint32_t len,
+                               WriteTicket *ticket)
 {
-    PRISM_DCHECK(len <= chunk_bytes_);
+    PRISM_CHECK(static_cast<uint64_t>(offset) + len <= chunk_bytes_);
     io::IoRequest req;
     req.op = io::IoRequest::Op::kWrite;
-    req.offset = static_cast<uint64_t>(chunk) * chunk_bytes_;
+    req.offset = static_cast<uint64_t>(chunk) * chunk_bytes_ + offset;
     req.length = len;
     req.src = buf;
     req.user_data =
@@ -124,6 +127,7 @@ ValueStorage::sealChunk(int64_t chunk, uint32_t used_bytes)
     m.settled.store(false, std::memory_order_release);
     m.state.store(static_cast<uint32_t>(ChunkState::kSealed),
                   std::memory_order_release);
+    reg_sealed_bytes_->record(used_bytes);
 }
 
 void
@@ -167,6 +171,35 @@ ValueStorage::freeChunkDeferred(int64_t chunk)
         std::lock_guard<prof::TimedTicketLock> lock(free_mu_);
         free_chunks_.push_back(chunk);
     });
+}
+
+int64_t
+ValueStorage::takeOpenChunk(uint32_t *fill)
+{
+    std::lock_guard<prof::TimedTicketLock> lock(free_mu_);
+    const int64_t chunk = open_chunk_;
+    *fill = open_fill_;
+    open_chunk_ = -1;
+    return chunk;
+}
+
+void
+ValueStorage::returnOpenChunk(int64_t chunk, uint32_t fill)
+{
+    int64_t seal = chunk;
+    uint32_t seal_fill = fill;
+    {
+        std::lock_guard<prof::TimedTicketLock> lock(free_mu_);
+        if (open_chunk_ < 0 || open_fill_ > fill) {
+            // Park the emptier chunk: it has more room left to share.
+            std::swap(seal, open_chunk_);
+            std::swap(seal_fill, open_fill_);
+        }
+    }
+    if (seal >= 0) {
+        sealChunk(seal, seal_fill);
+        settleChunk(seal);
+    }
 }
 
 void
@@ -222,7 +255,7 @@ ValueStorage::needsGc() const
 }
 
 size_t
-ValueStorage::runGcPass(Hsit &hsit)
+ValueStorage::runGcPass(Hsit &hsit, Svc *svc)
 {
     // One GC pass at a time per Value Storage; concurrent passes would
     // pick overlapping victims and double-relocate.
@@ -324,7 +357,8 @@ ValueStorage::runGcPass(Hsit &hsit)
         for (const auto &s : survivors)
             moved += recordBytes(static_cast<uint32_t>(s.payload.size()));
         reg_gc_moved_bytes_->add(moved);
-        // Rewrite survivors within this same Value Storage (§5.2).
+        // Rewrite survivors within this same Value Storage (§5.2),
+        // appended to its open chunk.
         ChunkWriter writer({this});
         std::vector<ValueAddr> new_addrs;
         new_addrs.reserve(survivors.size());
@@ -359,6 +393,10 @@ ValueStorage::runGcPass(Hsit &hsit)
             if (hsit.casPrimaryDurable(s.hsit_idx, s.old_addr,
                                        new_addrs[i])) {
                 clearValid(s.old_addr.offset(), s.old_addr.recordBytes());
+                // Same bytes, new home: keep the cached copy serving.
+                if (svc != nullptr)
+                    svc->rebind(s.hsit_idx, s.old_addr.raw(),
+                                new_addrs[i].raw());
             } else {
                 // The value was updated or relocated concurrently;
                 // whoever won also cleared the old bit. Retract ours.
@@ -397,6 +435,7 @@ ValueStorage::resetForRecovery()
     }
     std::lock_guard<prof::TimedTicketLock> lock(free_mu_);
     free_chunks_.clear();
+    open_chunk_ = -1;
 }
 
 void

@@ -21,6 +21,15 @@
  * are recycled only after an epoch grace period, so in-flight readers
  * holding old addresses stay safe.
  *
+ * Chunk lifecycle: FREE -> OPEN (allocChunk) -> SEALED (sealChunk, once
+ * written) -> FREEING (freeChunkDeferred) -> FREE. The PWB reclaimer
+ * seals every chunk it fills. Relocation writes (GC survivors, scan
+ * reorganisation) are a few records each, so they share one *open
+ * chunk* per Value Storage: a writer takes it, appends at its fill,
+ * writes only the bytes it added and parks it again (takeOpenChunk /
+ * returnOpenChunk). It is sealed once full, so GC only ever sees full
+ * chunks and never picks the open one.
+ *
  * One ValueStorage exists per SSD. It owns the SSD's read queue and a
  * completion thread that reaps the device CQ and hands every completion
  * to the AsyncIoHandler its request names (§5.1: "one Value Storage per
@@ -46,6 +55,8 @@
 #include "io/io_backend.h"
 
 namespace prism::core {
+
+class Svc;
 
 /** Completion handle for an asynchronous chunk write. */
 struct WriteTicket final : AsyncIoHandler {
@@ -108,11 +119,15 @@ class ValueStorage {
      */
     int64_t allocChunk();
 
-    /** Submit an asynchronous write of @p len bytes into @p chunk. */
-    Status submitChunkWrite(int64_t chunk, const uint8_t *buf, uint32_t len,
+    /**
+     * Submit an asynchronous write of @p len bytes at byte @p offset of
+     * @p chunk (non-zero when appending to the open chunk).
+     */
+    Status submitChunkWrite(int64_t chunk, uint32_t offset,
+                            const uint8_t *buf, uint32_t len,
                             WriteTicket *ticket);
 
-    /** OPEN -> SEALED once its write has been submitted. */
+    /** OPEN -> SEALED once its write has landed. */
     void sealChunk(int64_t chunk, uint32_t used_bytes);
 
     /**
@@ -124,6 +139,21 @@ class ValueStorage {
 
     /** Recycle a chunk after the epoch grace period (SEALED -> FREE). */
     void freeChunkDeferred(int64_t chunk);
+
+    /**
+     * Take the open chunk for appending: the caller owns it until it
+     * hands it back with returnOpenChunk(). One owner at a time.
+     * @param fill set to the bytes already written into it.
+     * @return chunk index, or -1 when none is parked (allocate one).
+     */
+    int64_t takeOpenChunk(uint32_t *fill);
+
+    /**
+     * Park @p chunk as the open chunk, @p fill bytes written and every
+     * record in them published (validity bits set). When another writer
+     * parked one meanwhile, the fuller of the two is sealed and settled.
+     */
+    void returnOpenChunk(int64_t chunk, uint32_t fill);
     ///@}
 
     /** @name Validity bitmap (device-offset addressed) */
@@ -159,16 +189,19 @@ class ValueStorage {
 
     /**
      * One greedy GC pass: pick the sealed chunks with the fewest live
-     * units, rewrite their survivors into fresh chunks of this same
+     * units, append their survivors to the open chunk of this same
      * Value Storage, re-point the HSIT, recycle the victims.
+     * @param svc when non-null, cached copies of moved values are
+     *        re-bound to their new address so they keep serving hits.
      * @return number of chunks reclaimed.
      */
-    size_t runGcPass(Hsit &hsit);
+    size_t runGcPass(Hsit &hsit, Svc *svc = nullptr);
     ///@}
 
     /** @name Recovery (§5.5) */
     ///@{
-    /** Forget all volatile chunk state (then mark live values). */
+    /** Forget all volatile chunk state, the open chunk included (then
+     *  mark live values). */
     void resetForRecovery();
 
     /** Mark one HSIT-reachable record live during recovery. */
@@ -205,6 +238,8 @@ class ValueStorage {
     std::vector<ChunkMeta> metas_;
     prof::TimedTicketLock free_mu_{"vs.chunk_alloc"};
     std::vector<int64_t> free_chunks_;
+    int64_t open_chunk_ = -1;  ///< parked open chunk (under free_mu_)
+    uint32_t open_fill_ = 0;
     std::mutex gc_mu_;  ///< serializes GC passes on this Value Storage
 
     std::unique_ptr<ReadBatcher> reader_;
@@ -217,6 +252,7 @@ class ValueStorage {
     stats::Counter *reg_gc_moved_bytes_;
     stats::Counter *reg_gc_reclaimed_chunks_;
     stats::LatencyStat *reg_gc_pass_ns_;
+    stats::LatencyStat *reg_sealed_bytes_;  ///< used bytes per sealed chunk
     stats::Counter *reg_retries_;   ///< victim reads / survivor rewrites
     stats::Counter *reg_degraded_;  ///< passes skipped on a sick device
 };

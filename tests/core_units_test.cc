@@ -362,6 +362,10 @@ struct VsFixture {
         hsit = Hsit::create(*nvm.region, *nvm.alloc, 4096);
     }
 
+    // Deferred chunk recycles name the Value Storage: run them while it
+    // is still alive.
+    ~VsFixture() { epochs.drain(); }
+
     /** Read a whole record (header + payload) straight off the device. */
     Status
     readBack(ValueAddr a, std::vector<uint8_t> &buf)
@@ -382,7 +386,7 @@ TEST(ValueStorageTest, ChunkLifecycle)
 
     std::vector<uint8_t> buf(64 * 1024, 0xAA);
     WriteTicket ticket;
-    ASSERT_TRUE(fx.vs->submitChunkWrite(c, buf.data(), 64 * 1024,
+    ASSERT_TRUE(fx.vs->submitChunkWrite(c, 0, buf.data(), 64 * 1024,
                                         &ticket)
                     .isOk());
     ticket.wait();
@@ -435,7 +439,9 @@ TEST(ChunkWriterTest, PacksRecordsAndReadsBack)
         addrs.push_back(a);
     }
     ASSERT_TRUE(writer.finish().isOk());
-    EXPECT_GT(writer.chunksWritten(), 1u);  // 250 KB over 64 KB chunks
+    // 250 KB over 64 KB chunks
+    EXPECT_NE(addrs.front().offset() / (64 * 1024),
+              addrs.back().offset() / (64 * 1024));
 
     std::vector<uint8_t> buf;
     for (int i = 0; i < 50; i++) {
@@ -451,8 +457,9 @@ TEST(ChunkWriterTest, PacksRecordsAndReadsBack)
 TEST(ValueStorageTest, GcRelocatesLiveValues)
 {
     VsFixture fx;
-    // Write two chunks of values; register them in the HSIT; kill most
-    // of them; GC must compact the survivors and free victims.
+    // Write three chunks of values; register them in the HSIT; kill most
+    // of them; GC must compact the survivors and free victims. The last
+    // chunk stays open, so the victims are the first two.
     ChunkWriter writer({fx.vs.get()});
     std::string value(3000, 'g');
     struct Item {
@@ -460,7 +467,7 @@ TEST(ValueStorageTest, GcRelocatesLiveValues)
         ValueAddr addr;
     };
     std::vector<Item> items;
-    for (int i = 0; i < 40; i++) {
+    for (int i = 0; i < 63; i++) {
         const uint64_t h = fx.hsit->allocEntry();
         const ValueAddr a = writer.add(h, static_cast<uint64_t>(i),
                                        value.data(), 3000);
@@ -498,6 +505,135 @@ TEST(ValueStorageTest, GcRelocatesLiveValues)
             reinterpret_cast<const ValueRecordHeader *>(buf.data());
         EXPECT_EQ(hdr->backward, items[i].h);
     }
+}
+
+/**
+ * One barrier writer's whole protocol: append @p n records of @p size
+ * bytes (keys and backward pointers from @p key0), finish, mark the
+ * landed ones live and settle, which hands the open chunk back. A
+ * record whose write failed comes back as a null address.
+ */
+std::vector<ValueAddr>
+publishBatch(VsFixture &fx, int n, uint32_t size, uint64_t key0)
+{
+    ChunkWriter writer({fx.vs.get()});
+    const std::string value(size, 'o');
+    std::vector<ValueAddr> addrs;
+    for (int i = 0; i < n; i++) {
+        const uint64_t k = key0 + static_cast<uint64_t>(i);
+        const ValueAddr a = writer.add(k, k, value.data(), size);
+        EXPECT_FALSE(a.isNull());
+        addrs.push_back(a);
+    }
+    EXPECT_TRUE(writer.finish().isOk());
+    for (size_t i = 0; i < addrs.size(); i++) {
+        if (writer.recordFailed(i))
+            addrs[i] = ValueAddr();
+        else
+            fx.vs->setValid(addrs[i].offset(), addrs[i].recordBytes());
+    }
+    writer.settleAll();
+    return addrs;
+}
+
+/** Every non-null record reads back with its key and a good CRC. */
+void
+expectReadable(VsFixture &fx, const std::vector<ValueAddr> &addrs,
+               uint64_t key0)
+{
+    std::vector<uint8_t> buf;
+    for (size_t i = 0; i < addrs.size(); i++) {
+        if (addrs[i].isNull())
+            continue;
+        ASSERT_TRUE(fx.readBack(addrs[i], buf).isOk());
+        const auto *hdr =
+            reinterpret_cast<const ValueRecordHeader *>(buf.data());
+        EXPECT_EQ(hdr->key, key0 + i);
+        EXPECT_TRUE(recordCrcOk(*hdr, hdr + 1)) << i;
+    }
+}
+
+uint64_t
+chunkOf(const VsFixture &fx, ValueAddr a)
+{
+    return a.offset() / fx.opts.chunk_bytes;
+}
+
+TEST(ChunkWriterTest, BarrierWritersShareTheOpenChunk)
+{
+    VsFixture fx;
+    const auto first = publishBatch(fx, 3, 1000, 0);
+    const auto before = stats::StatsRegistry::global().snapshot();
+    const auto second = publishBatch(fx, 4, 1000, 100);
+    const auto after = stats::StatsRegistry::global().snapshot();
+
+    // The second writer appended right behind the first, in its chunk,
+    // and wrote only its own records' bytes.
+    EXPECT_EQ(second.front().offset(),
+              first.back().offset() + first.back().recordBytes());
+    EXPECT_EQ(chunkOf(fx, second.back()), chunkOf(fx, first.front()));
+    EXPECT_EQ(after.counterDelta(before, "sim.ssd.bytes_written"),
+              4 * recordBytes(1000));
+    EXPECT_EQ(fx.vs->freeChunks(), fx.vs->totalChunks() - 1);
+    expectReadable(fx, first, 0);
+    expectReadable(fx, second, 100);
+}
+
+TEST(ChunkWriterTest, FullOpenChunkIsSealedAtItsFill)
+{
+    VsFixture fx;
+    // Fill the open chunk until the next record no longer fits.
+    const uint64_t rb = recordBytes(3000);
+    const int per_chunk = static_cast<int>(fx.opts.chunk_bytes / rb);
+    ASSERT_GT(fx.opts.chunk_bytes % rb, 0u);
+    const auto first = publishBatch(fx, per_chunk, 3000, 0);
+    ASSERT_EQ(chunkOf(fx, first.front()), chunkOf(fx, first.back()));
+
+    const auto before = stats::StatsRegistry::global().snapshot();
+    const auto second = publishBatch(fx, 1, 3000, 1000);
+    const auto sealed =
+        stats::StatsRegistry::global().snapshot().histogramDelta(
+            before, "prism.vs.sealed_chunk_bytes");
+
+    // The taken chunk was sealed at its fill; the record went to the
+    // start of a fresh chunk, not past the end of the full one.
+    EXPECT_EQ(sealed.count(), 1u);
+    EXPECT_EQ(sealed.sum(), static_cast<uint64_t>(per_chunk) * rb);
+    EXPECT_NE(chunkOf(fx, second[0]), chunkOf(fx, first[0]));
+    EXPECT_EQ(second[0].offset() % fx.opts.chunk_bytes, 0u);
+    expectReadable(fx, first, 0);
+    expectReadable(fx, second, 1000);
+}
+
+TEST(ChunkWriterTest, FailedAppendKeepsEarlierRecords)
+{
+    VsFixture fx;
+    const auto first = publishBatch(fx, 5, 1000, 0);
+    const auto before = stats::StatsRegistry::global().snapshot();
+
+    // Every write of the next writer fails after its retries.
+    auto &faults = fault::FaultRegistry::global();
+    fault::FaultSpec always;
+    always.trigger = fault::Trigger::kProbability;
+    always.probability = 1.0;
+    faults.arm("pwb.chunk_write", always);
+    const auto failed = publishBatch(fx, 3, 1000, 100);
+    faults.disarmAll();
+    for (const ValueAddr a : failed)
+        EXPECT_TRUE(a.isNull());
+
+    // The shared chunk was sealed at the first writer's durable prefix,
+    // whose records still read back; the next writer starts afresh.
+    const auto sealed =
+        stats::StatsRegistry::global().snapshot().histogramDelta(
+            before, "prism.vs.sealed_chunk_bytes");
+    EXPECT_EQ(sealed.count(), 1u);
+    EXPECT_EQ(sealed.sum(), 5 * recordBytes(1000));
+    expectReadable(fx, first, 0);
+    const auto third = publishBatch(fx, 1, 1000, 200);
+    EXPECT_NE(chunkOf(fx, third[0]), chunkOf(fx, first[0]));
+    expectReadable(fx, third, 200);
+    EXPECT_EQ(fx.vs->freeChunks(), fx.vs->totalChunks() - 2);
 }
 
 // ---------------------------------------------------------------------------

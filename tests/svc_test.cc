@@ -2,8 +2,9 @@
  * @file
  * Unit tests for the Scan-aware Value Cache in isolation: admission,
  * validation-based staleness safety, invalidation, 2Q behaviour under
- * pressure, scan chains and eviction-time reorganisation, the manager's
- * once-per-batch wake, and admits racing invalidates.
+ * pressure, scan chains and eviction-time reorganisation (also with its
+ * chunk writes failing), cached copies kept across a GC relocation, the
+ * manager's once-per-batch wake, and admits racing invalidates.
  */
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <random>
 #include <thread>
 
+#include "common/fault.h"
 #include "core/chunk_writer.h"
 #include "core/svc.h"
 #include "sim/device_profile.h"
@@ -225,17 +227,19 @@ TEST(SvcTest, ScanChainReorganisesOnEviction)
     SvcFixture fx(128 * 1024, /*scan_reorg=*/true);
     const std::string value(600, 's');
     const auto before = stats::StatsRegistry::global().snapshot();
-    // Publish a scattered key range, admit it, and declare it one scan.
-    std::vector<std::pair<uint64_t, ValueAddr>> range;
-    std::vector<uint64_t> chain;
-    for (uint64_t k = 0; k < 40; k++) {
-        range.push_back(fx.publishOnSsd(k * 7, value));
-        EpochGuard guard(fx.epochs);
-        fx.svc->admit(range.back().first, k * 7, range.back().second,
-                      reinterpret_cast<const uint8_t *>(value.data()),
-                      static_cast<uint32_t>(value.size()));
-        chain.push_back(range.back().first);
+    // Publish a key range out of key order, admit it, and declare it one
+    // scan. Consecutive publishes share one open chunk, so publishing in
+    // key order would already leave the range contiguous.
+    constexpr uint64_t kRange = 40;
+    std::vector<std::pair<uint64_t, ValueAddr>> range(kRange);
+    for (uint64_t i = 0; i < kRange; i++) {
+        const uint64_t k = (i * 17) % kRange;  // key neighbours land apart
+        range[k] = fx.publishOnSsd(k * 7, value);
+        fx.admit(range[k].first, k * 7, range[k].second, value);
     }
+    std::vector<uint64_t> chain;
+    for (const auto &[h, addr] : range)
+        chain.push_back(h);
     fx.svc->noteScan(chain);
     fx.svc->drainForTest();
 
@@ -286,6 +290,90 @@ TEST(SvcTest, ScanChainReorganisesOnEviction)
         EXPECT_EQ(hdr->backward, h);
         EXPECT_TRUE(recordCrcOk(*hdr, hdr + 1));
     }
+}
+
+TEST(SvcTest, FailedReorgWriteKeepsTheOldCopies)
+{
+    SvcFixture fx(128 * 1024, /*scan_reorg=*/true);
+    const std::string value(600, 'r');
+    constexpr uint64_t kRange = 40;
+    std::vector<std::pair<uint64_t, ValueAddr>> range;
+    std::vector<uint64_t> chain;
+    for (uint64_t k = 0; k < kRange; k++) {
+        range.push_back(fx.publishOnSsd(k * 7, value));
+        fx.admit(range.back().first, k * 7, range.back().second, value);
+        chain.push_back(range.back().first);
+    }
+    fx.svc->noteScan(chain);
+    fx.svc->drainForTest();
+
+    // Evict the chain while every chunk write fails after its retries.
+    // The flood is admitted at addresses that are never written, so the
+    // reorganisation is the only writer.
+    const auto before = stats::StatsRegistry::global().snapshot();
+    auto &faults = fault::FaultRegistry::global();
+    fault::FaultSpec always;
+    always.trigger = fault::Trigger::kProbability;
+    always.probability = 1.0;
+    faults.arm("pwb.chunk_write", always);
+    const std::string filler(900, 'x');
+    for (uint64_t k = 1000; k < 1400; k++) {
+        const auto [h, addr] = fx.publishAddr(k);
+        fx.admit(h, k, addr, filler);
+        if (k % 32 == 0)
+            fx.svc->drainForTest();
+    }
+    fx.svc->drainForTest();
+    faults.disarmAll();
+    const auto after = stats::StatsRegistry::global().snapshot();
+    EXPECT_GT(after.counterDelta(before, "prism.svc.scan_reorgs"), 0u);
+    EXPECT_EQ(after.counterDelta(before, "prism.svc.reorged_values"), 0u);
+
+    // No member was published at a failed address: each still names a
+    // record that parses, with its backward pointer and CRC.
+    std::vector<uint8_t> buf;
+    for (const auto &[h, old_addr] : range) {
+        const ValueAddr a = fx.hsit->loadPrimary(h);
+        EXPECT_EQ(a, old_addr);
+        buf.resize(a.recordBytes());
+        ASSERT_TRUE(fx.vs->device()
+                        .readSync(a.offset(), buf.data(),
+                                  static_cast<uint32_t>(a.recordBytes()))
+                        .isOk());
+        const auto *hdr =
+            reinterpret_cast<const ValueRecordHeader *>(buf.data());
+        EXPECT_EQ(hdr->backward, h);
+        EXPECT_TRUE(recordCrcOk(*hdr, hdr + 1));
+    }
+}
+
+TEST(SvcTest, GcRelocationKeepsTheCachedCopy)
+{
+    SvcFixture fx;
+    // Three chunks' worth of values; the first chunk's records all die
+    // but one, which is cached.
+    const std::string value(3000, 'g');
+    std::vector<std::pair<uint64_t, ValueAddr>> items;
+    for (uint64_t k = 0; k < 63; k++)
+        items.push_back(fx.publishOnSsd(k, value));
+    const auto [h, old_addr] = items[0];
+    fx.admit(h, 0, old_addr, value);
+    for (size_t i = 1; i < items.size(); i++) {
+        if (items[i].second.offset() / fx.opts.chunk_bytes ==
+            old_addr.offset() / fx.opts.chunk_bytes)
+            fx.vs->clearValid(items[i].second.offset(),
+                              items[i].second.recordBytes());
+    }
+
+    ASSERT_GT(fx.vs->runGcPass(*fx.hsit, fx.svc.get()), 0u);
+    const ValueAddr moved = fx.hsit->loadPrimary(h);
+    ASSERT_NE(moved, old_addr);
+
+    // The entry follows its value: a lookup at the new address hits.
+    EpochGuard guard(fx.epochs);
+    std::string out;
+    ASSERT_TRUE(fx.svc->lookup(h, moved.raw(), &out));
+    EXPECT_EQ(out, value);
 }
 
 TEST(SvcTest, AdmissionsUnderBudgetWakeManagerPerBatch)
