@@ -219,9 +219,8 @@ class ShardRouter {
     /**
      * Refresh the derived gauges in the stats registry: per-shard key
      * counts and the PWB/SVC/Value Storage occupancy summed over shards.
-     * Registered as
-     * the telemetry probe and run before every /metrics render; also
-     * useful before a manual snapshot.
+     * Registered as the telemetry probe and run before every /metrics
+     * render; also useful before a manual snapshot.
      */
     void publishOccupancy();
 

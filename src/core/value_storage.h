@@ -200,8 +200,10 @@ class ValueStorage {
 
     /** @name Recovery (§5.5) */
     ///@{
-    /** Forget all volatile chunk state, the open chunk included (then
-     *  mark live values). */
+    /**
+     * Forget all volatile chunk state, the open chunk included (then
+     * mark live values).
+     */
     void resetForRecovery();
 
     /** Mark one HSIT-reachable record live during recovery. */
