@@ -14,7 +14,6 @@ main(int argc, char **argv)
     maybeDumpStatsAtExit(argc, argv);
     maybeTraceToFileAtExit(argc, argv);
     maybeProfileToFileAtExit(argc, argv);
-    maybeTelemetryToFileAtExit(argc, argv);
     BenchScale s;
     // The paper runs as many operations as there are records.
     s.ops = envOr("PRISM_BENCH_OPS", s.records);

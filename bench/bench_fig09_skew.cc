@@ -18,7 +18,6 @@ main(int argc, char **argv)
     maybeDumpStatsAtExit(argc, argv);
     maybeTraceToFileAtExit(argc, argv);
     maybeProfileToFileAtExit(argc, argv);
-    maybeTelemetryToFileAtExit(argc, argv);
     BenchScale s;
     s.ops = envOr("PRISM_BENCH_OPS", 40000) / 2;
     printScale(s);

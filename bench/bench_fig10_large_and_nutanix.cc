@@ -15,7 +15,6 @@ main(int argc, char **argv)
     maybeDumpStatsAtExit(argc, argv);
     maybeTraceToFileAtExit(argc, argv);
     maybeProfileToFileAtExit(argc, argv);
-    maybeTelemetryToFileAtExit(argc, argv);
     BenchScale s;
     s.records = envOr("PRISM_BENCH_RECORDS", 100000) * 4;  // "1B" scale-up
     printScale(s);

@@ -71,7 +71,6 @@ main(int argc, char **argv)
     maybeDumpStatsAtExit(argc, argv);
     maybeTraceToFileAtExit(argc, argv);
     maybeProfileToFileAtExit(argc, argv);
-    maybeTelemetryToFileAtExit(argc, argv);
     BenchScale s;
     s.records = envOr("PRISM_BENCH_RECORDS", 100000) / 2;
     s.ops = envOr("PRISM_BENCH_OPS", 40000) / 2;

@@ -16,7 +16,6 @@ main(int argc, char **argv)
     maybeDumpStatsAtExit(argc, argv);
     maybeTraceToFileAtExit(argc, argv);
     maybeProfileToFileAtExit(argc, argv);
-    maybeTelemetryToFileAtExit(argc, argv);
     BenchScale base;
     base.ops = envOr("PRISM_BENCH_OPS", 40000) * 2;  // updates of dataset
     printScale(base);

@@ -36,7 +36,6 @@ main(int argc, char **argv)
     maybeDumpStatsAtExit(argc, argv);
     maybeTraceToFileAtExit(argc, argv);
     maybeProfileToFileAtExit(argc, argv);
-    maybeTelemetryToFileAtExit(argc, argv);
     BenchScale base;
     printScale(base);
     std::printf("== Figure 13: throughput vs #SSDs ==\n");

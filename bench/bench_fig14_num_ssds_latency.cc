@@ -37,7 +37,6 @@ main(int argc, char **argv)
     maybeDumpStatsAtExit(argc, argv);
     maybeTraceToFileAtExit(argc, argv);
     maybeProfileToFileAtExit(argc, argv);
-    maybeTelemetryToFileAtExit(argc, argv);
     BenchScale base;
     printScale(base);
     std::printf("== Figure 14: YCSB-C latency vs #SSDs ==\n");

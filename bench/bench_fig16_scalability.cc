@@ -69,7 +69,6 @@ main(int argc, char **argv)
     maybeDumpStatsAtExit(argc, argv);
     maybeTraceToFileAtExit(argc, argv);
     maybeProfileToFileAtExit(argc, argv);
-    maybeTelemetryToFileAtExit(argc, argv);
     parseBackendFlag(argc, argv);  // --backend={sim,posix,uring,auto}
     parseShardsFlag(argc, argv);   // --shards=N (Prism only)
     parseObsFlag(argc, argv);      // --obs-port=N (Prism only)

@@ -242,7 +242,7 @@ BENCHMARK(BM_SsdLoneRead)->Iterations(20000)->UseRealTime();
 }  // namespace prism
 
 // Custom main (vs BENCHMARK_MAIN()): peel off the bench_util flags
-// (--stats, --trace=, --telemetry=, --profile=) before
+// (--stats, --trace=, --profile=) before
 // google-benchmark rejects them as unrecognized.
 int
 main(int argc, char **argv)
@@ -250,13 +250,11 @@ main(int argc, char **argv)
     prism::bench::maybeDumpStatsAtExit(argc, argv);
     prism::bench::maybeTraceToFileAtExit(argc, argv);
     prism::bench::maybeProfileToFileAtExit(argc, argv);
-    prism::bench::maybeTelemetryToFileAtExit(argc, argv);
     std::vector<char *> args;
     for (int i = 0; i < argc; i++) {
         const std::string_view a = argv[i];
         if (a != "--stats" && a != "--stats=json" &&
             a.rfind("--trace=", 0) != 0 &&
-            a.rfind("--telemetry=", 0) != 0 &&
             a.rfind("--profile=", 0) != 0)
             args.push_back(argv[i]);
     }

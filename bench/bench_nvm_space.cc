@@ -15,7 +15,6 @@ main(int argc, char **argv)
     maybeDumpStatsAtExit(argc, argv);
     maybeTraceToFileAtExit(argc, argv);
     maybeProfileToFileAtExit(argc, argv);
-    maybeTelemetryToFileAtExit(argc, argv);
     std::printf("== NVM space of Key Index + HSIT ==\n");
     for (const uint64_t keys : {50000ull, 100000ull, 200000ull,
                                 400000ull}) {

@@ -21,7 +21,6 @@ main(int argc, char **argv)
     maybeDumpStatsAtExit(argc, argv);
     maybeTraceToFileAtExit(argc, argv);
     maybeProfileToFileAtExit(argc, argv);
-    maybeTelemetryToFileAtExit(argc, argv);
     BenchScale s;
     printScale(s);
     std::printf("== Table 3: latency (us) for YCSB A / C / E ==\n");

@@ -28,7 +28,6 @@
 
 #include "common/prof.h"
 #include "common/stats.h"
-#include "common/telemetry.h"
 #include "common/trace.h"
 #include "io/io_backend.h"
 #include "ycsb/driver.h"
@@ -151,55 +150,6 @@ maybeTraceToFileAtExit(int argc, char **argv)
         }
         std::fprintf(stderr, "trace written to %s\n",
                      detail::g_trace_path.c_str());
-    });
-}
-
-/** @} */
-
-/**
- * @name --telemetry support (docs/OBSERVABILITY.md, "Time series")
- *
- * `--telemetry=<file>` (or `PRISM_BENCH_TELEMETRY=<file>`) starts the
- * process-wide telemetry sampler for the whole run and exports the
- * windowed series JSON to <file> at normal process exit. Sampling
- * interval: `PRISM_BENCH_TELEMETRY_MS` (default 100); ring capacity:
- * `PRISM_BENCH_TELEMETRY_WINDOWS` (default 4096, enough for several
- * minutes). Render the file with scripts/telemetry_report.py.
- * @{
- */
-
-namespace detail {
-inline std::string g_telemetry_path;
-}  // namespace detail
-
-/** Call first thing in main(), next to maybeTraceToFileAtExit(). */
-inline void
-maybeTelemetryToFileAtExit(int argc, char **argv)
-{
-    for (int i = 1; i < argc; i++) {
-        const std::string_view a = argv[i];
-        if (a.rfind("--telemetry=", 0) == 0)
-            detail::g_telemetry_path = std::string(a.substr(12));
-    }
-    if (const char *env = std::getenv("PRISM_BENCH_TELEMETRY")) {
-        if (*env != '\0' && detail::g_telemetry_path.empty())
-            detail::g_telemetry_path = env;
-    }
-    if (detail::g_telemetry_path.empty())
-        return;
-    auto &tel = telemetry::Telemetry::global();
-    tel.setCapacity(envOr("PRISM_BENCH_TELEMETRY_WINDOWS", 4096));
-    tel.start(envOr("PRISM_BENCH_TELEMETRY_MS", 100));
-    std::atexit([] {
-        auto &tel = telemetry::Telemetry::global();
-        tel.stop();
-        if (!tel.exportSeriesJsonToFile(detail::g_telemetry_path)) {
-            std::fprintf(stderr, "telemetry export to %s failed\n",
-                         detail::g_telemetry_path.c_str());
-            return;
-        }
-        std::fprintf(stderr, "telemetry series (%zu windows) written to %s\n",
-                     tel.sampleCount(), detail::g_telemetry_path.c_str());
     });
 }
 

@@ -18,7 +18,8 @@
  *   prism> quit
  *
  * Commands: put, get, del, scan, fill, flush, gc, stats, metrics,
- * json, trace, top, telemetry, slowops, tracegen, replay, help, quit.
+ * json, trace, top, profile, contention, slowops, tracegen, replay,
+ * help, quit.
  * Run with --stats to dump the metrics registry on exit (see
  * docs/OBSERVABILITY.md).
  *
@@ -49,10 +50,10 @@
 
 #include <memory>
 
+#include "common/clock.h"
 #include "common/obs_server.h"
 #include "common/prof.h"
 #include "common/stats.h"
-#include "common/telemetry.h"
 #include "common/trace.h"
 #include "core/shard_router.h"
 #include "net/resp_server.h"
@@ -178,73 +179,116 @@ waitQuitOrTimeout(uint64_t ms)
     return line.empty() || line == "q" || line == "quit";
 }
 
-/** Repaint one frame of the live view from the newest window. */
+/**
+ * One `top` frame: the registry's movement between two snapshots taken
+ * dt_s apart. Counters read as rates, gauges as their value now.
+ */
+struct TopWindow {
+    const stats::StatsSnapshot &prev;
+    const stats::StatsSnapshot &cur;
+    double dt_s;
+
+    double
+    rate(const std::string &counter) const
+    {
+        return static_cast<double>(cur.counterDelta(prev, counter)) / dt_s;
+    }
+
+    int64_t gauge(const std::string &name) const { return cur.gauge(name); }
+
+    /**
+     * Metrics of @p type named <prefix><middle><suffix>, as (middle,
+     * metric) pairs in registry (name) order.
+     */
+    std::vector<std::pair<std::string, const stats::MetricSnapshot *>>
+    family(stats::MetricType type, std::string_view prefix,
+           std::string_view suffix) const
+    {
+        std::vector<std::pair<std::string, const stats::MetricSnapshot *>>
+            out;
+        for (const auto &m : cur.metrics) {
+            if (m.type != type ||
+                m.name.size() <= prefix.size() + suffix.size() ||
+                !m.name.starts_with(prefix) || !m.name.ends_with(suffix))
+                continue;
+            out.emplace_back(
+                m.name.substr(prefix.size(),
+                              m.name.size() - prefix.size() - suffix.size()),
+                &m);
+        }
+        return out;
+    }
+
+    /** Counters <prefix><middle><suffix> that moved: (middle, delta). */
+    std::vector<std::pair<std::string, uint64_t>>
+    moved(std::string_view prefix, std::string_view suffix) const
+    {
+        std::vector<std::pair<std::string, uint64_t>> out;
+        for (const auto &[mid, m] :
+             family(stats::MetricType::kCounter, prefix, suffix)) {
+            if (const uint64_t d = cur.counterDelta(prev, m->name); d > 0)
+                out.emplace_back(mid, d);
+        }
+        return out;
+    }
+};
+
+/** Repaint one frame of the live view. */
 void
-renderTopFrame(const telemetry::TelemetrySample &s, bool ansi)
+renderTopFrame(const TopWindow &w, uint64_t frame, bool ansi)
 {
     if (ansi)
         std::printf("\x1b[H\x1b[2J");
-    const double dt = s.dtSeconds();
-    const double dt_s = dt > 0 ? dt : 1.0;
-    std::printf("prism top — window #%llu, %.2fs  (q + Enter quits)\n",
-                static_cast<unsigned long long>(s.seq), dt);
+    std::printf("prism top — frame #%llu, %.2fs  (q + Enter quits)\n",
+                static_cast<unsigned long long>(frame), w.dt_s);
     if (g_obs_port > 0)
         std::printf("ops: http://127.0.0.1:%d  (/metrics /healthz "
-                    "/slowops /telemetry /trace)\n",
+                    "/slowops /trace)\n",
                     g_obs_port);
     // Listener state when a RESP front-end is embedded: the gauge
     // only exists (is non-zero) while a server is running.
-    if (const int64_t rp = s.gauge("prism.server.port"); rp > 0) {
+    if (const int64_t rp = w.gauge("prism.server.port"); rp > 0) {
         std::printf("resp: 127.0.0.1:%lld  %lld conns  %.0f cmd/s  "
                     "%.0f throttled/s  inflight %lld\n",
                     static_cast<long long>(rp),
                     static_cast<long long>(
-                        s.gauge("prism.server.connections")),
-                    s.counterRate("prism.server.commands"),
-                    s.counterRate("prism.server.throttled"),
+                        w.gauge("prism.server.connections")),
+                    w.rate("prism.server.commands"),
+                    w.rate("prism.server.throttled"),
                     static_cast<long long>(
-                        s.gauge("prism.server.inflight")));
+                        w.gauge("prism.server.inflight")));
         // Per-tenant op rates, active tenants only.
-        bool any = false;
-        for (const auto &c : s.counters) {
-            if (c.delta == 0 || c.name.rfind("prism.tenant.", 0) != 0)
-                continue;
-            if (c.name.size() < 4 ||
-                c.name.compare(c.name.size() - 4, 4, ".ops") != 0)
-                continue;
-            if (!any)
-                std::printf("tenants:  ");
-            any = true;
-            std::printf(" %s %.0f ops/s",
-                        c.name.substr(13, c.name.size() - 13 - 4)
-                            .c_str(),
-                        static_cast<double>(c.delta) / dt_s);
-        }
-        if (any)
+        const auto tenants = w.moved("prism.tenant.", ".ops");
+        if (!tenants.empty()) {
+            std::printf("tenants:  ");
+            for (const auto &[tenant, ops] : tenants)
+                std::printf(" %s %.0f ops/s", tenant.c_str(),
+                            static_cast<double>(ops) / w.dt_s);
             std::printf("\n");
+        }
     }
     std::printf("\n");
 
     std::printf("ops/s      put %9.0f   get %9.0f   del %9.0f   "
                 "scan %9.0f\n",
-                s.counterRate("prism.puts"), s.counterRate("prism.gets"),
-                s.counterRate("prism.dels"), s.counterRate("prism.scans"));
+                w.rate("prism.puts"), w.rate("prism.gets"),
+                w.rate("prism.dels"), w.rate("prism.scans"));
     std::printf("pipeline   pwb-append %7.1f MB/s   reclaimed %7.0f "
                 "vals/s   gc-moved %7.1f MB/s\n",
-                s.counterRate("prism.pwb.append_bytes") / 1e6,
-                s.counterRate("prism.pwb.reclaimed_values"),
-                s.counterRate("prism.vs.gc_moved_bytes") / 1e6);
+                w.rate("prism.pwb.append_bytes") / 1e6,
+                w.rate("prism.pwb.reclaimed_values"),
+                w.rate("prism.vs.gc_moved_bytes") / 1e6);
     std::printf("devices    ssd-read %8.1f MB/s   ssd-write %8.1f MB/s"
                 "   bg-tasks %6.0f/s (queue %lld)\n\n",
-                s.counterRate("sim.ssd.bytes_read") / 1e6,
-                s.counterRate("sim.ssd.bytes_written") / 1e6,
-                s.counterRate("prism.bg.tasks"),
-                static_cast<long long>(s.gauge("prism.bg.queue_depth")));
+                w.rate("sim.ssd.bytes_read") / 1e6,
+                w.rate("sim.ssd.bytes_written") / 1e6,
+                w.rate("prism.bg.tasks"),
+                static_cast<long long>(w.gauge("prism.bg.queue_depth")));
 
-    const int64_t pwb_used = s.gauge("prism.pwb.used_bytes");
-    const int64_t pwb_cap = s.gauge("prism.pwb.capacity_bytes");
-    const int64_t svc_used = s.gauge("prism.svc.used_bytes");
-    const int64_t svc_cap = s.gauge("prism.svc.capacity_bytes");
+    const int64_t pwb_used = w.gauge("prism.pwb.used_bytes");
+    const int64_t pwb_cap = w.gauge("prism.pwb.capacity_bytes");
+    const int64_t svc_used = w.gauge("prism.svc.used_bytes");
+    const int64_t svc_cap = w.gauge("prism.svc.capacity_bytes");
     std::printf("occupancy  pwb %6.1f / %6.1f MB (%3.0f%%)   "
                 "svc %6.1f / %6.1f MB (%3.0f%%)\n\n",
                 static_cast<double>(pwb_used) / 1e6,
@@ -258,36 +302,18 @@ renderTopFrame(const telemetry::TelemetrySample &s, bool ansi)
                                   static_cast<double>(svc_cap)
                             : 0.0);
 
-    // Hottest locks: top-3 prism.lock.<site>.wait_ns_total by
-    // wait rate this window. All-zero (or profiler off) prints nothing.
-    {
-        struct Hot { const telemetry::CounterPoint *p; };
-        std::vector<const telemetry::CounterPoint *> hot;
-        for (const auto &c : s.counters) {
-            if (c.delta == 0 || c.name.rfind("prism.lock.", 0) != 0)
-                continue;
-            if (c.name.size() < 14 ||
-                c.name.compare(c.name.size() - 14, 14,
-                               ".wait_ns_total") != 0)
-                continue;
-            hot.push_back(&c);
-        }
-        std::sort(hot.begin(), hot.end(),
-                  [](const auto *a, const auto *b) {
-                      return a->delta > b->delta;
-                  });
-        if (!hot.empty()) {
-            std::printf("locks     ");
-            for (size_t i = 0; i < hot.size() && i < 3; i++) {
-                const std::string site = hot[i]->name.substr(
-                    11, hot[i]->name.size() - 11 - 14);
-                std::printf(" %s %.1fms/s",
-                            site.c_str(),
-                            static_cast<double>(hot[i]->delta) / dt_s /
-                                1e6);
-            }
-            std::printf("   (wait, prism.lock.*)\n\n");
-        }
+    // Hottest locks: top-3 prism.lock.<site>.wait_ns_total by wait rate
+    // this frame. All-zero (or profiler off) prints nothing.
+    auto hot = w.moved("prism.lock.", ".wait_ns_total");
+    std::sort(hot.begin(), hot.end(), [](const auto &a, const auto &b) {
+        return a.second > b.second;
+    });
+    if (!hot.empty()) {
+        std::printf("locks     ");
+        for (size_t i = 0; i < hot.size() && i < 3; i++)
+            std::printf(" %s %.1fms/s", hot[i].first.c_str(),
+                        static_cast<double>(hot[i].second) / w.dt_s / 1e6);
+        std::printf("   (wait, prism.lock.*)\n\n");
     }
 
     if (g_shards > 1) {
@@ -297,58 +323,79 @@ renderTopFrame(const telemetry::TelemetrySample &s, bool ansi)
             const std::string p =
                 "prism.shard." + std::to_string(sh) + ".";
             std::printf("shard%-3d %12.0f %12lld %6lld\n", sh,
-                        s.counterRate(p + "ops"),
-                        static_cast<long long>(s.gauge(p + "keys")),
-                        static_cast<long long>(s.gauge(p + "node")));
+                        w.rate(p + "ops"),
+                        static_cast<long long>(w.gauge(p + "keys")),
+                        static_cast<long long>(w.gauge(p + "node")));
         }
         std::printf("\n");
     }
 
+    // Tracer self-time per layer: deltas of the cumulative
+    // prism.trace.busy_ns.<layer> gauges, as cores kept busy.
     std::printf("layer busy (cores)\n");
-    uint64_t total_busy = 0;
+    int64_t total_busy = 0;
     for (size_t i = 0; i < trace::kNumLayers; i++) {
-        total_busy += s.layer_busy_ns[i];
+        const std::string g =
+            std::string("prism.trace.busy_ns.") + trace::layerName(i);
+        const int64_t busy = std::max<int64_t>(
+            w.cur.gauge(g) - w.prev.gauge(g), 0);
+        total_busy += busy;
         std::printf("  %-6s %6.2f\n", trace::layerName(i),
-                    static_cast<double>(s.layer_busy_ns[i]) /
-                        (dt_s * 1e9));
+                    static_cast<double>(busy) / (w.dt_s * 1e9));
     }
-    if (total_busy == 0 &&
-        !trace::TraceRegistry::global().enabled())
+    if (total_busy == 0 && !trace::TraceRegistry::global().enabled())
         std::printf("  (all zero — CPU attribution needs tracing; run "
                     "'trace on')\n");
 
-    if (!s.devices.empty()) {
+    // Per-device bandwidth and utilization from the sim.ssd.<n>.*
+    // series; every device publishes its channel count.
+    std::vector<std::pair<int, int64_t>> devices;  // (number, channels)
+    for (const auto &[dev, m] :
+         w.family(stats::MetricType::kGauge, "sim.ssd.", ".channels")) {
+        if (dev.find_first_not_of("0123456789") == std::string::npos)
+            devices.emplace_back(std::stoi(dev), m->gauge);
+    }
+    std::sort(devices.begin(), devices.end());
+    if (!devices.empty()) {
         std::printf("\n%-6s %12s %12s %6s\n", "device", "read MB/s",
                     "write MB/s", "util");
-        for (const auto &d : s.devices)
-            std::printf("%-6s %12.1f %12.1f %5.0f%%\n", d.name.c_str(),
-                        static_cast<double>(d.read_bytes) / dt_s / 1e6,
-                        static_cast<double>(d.written_bytes) / dt_s / 1e6,
-                        d.util * 100.0);
+        for (const auto &[dev, channels] : devices) {
+            const std::string p = "sim.ssd." + std::to_string(dev) + ".";
+            std::printf("ssd%-3d %12.1f %12.1f %5.0f%%\n", dev,
+                        w.rate(p + "bytes_read") / 1e6,
+                        w.rate(p + "bytes_written") / 1e6,
+                        100.0 * w.rate(p + "busy_ns") /
+                            (1e9 * static_cast<double>(
+                                       std::max<int64_t>(channels, 1))));
+        }
     }
     std::fflush(stdout);
 }
 
 /**
- * Live telemetry view: drives the sampler manually at @p interval_ms
- * and repaints until the user quits or @p frames windows were shown
- * (0 = until quit). Works whether or not the background sampler thread
- * is running — both tick into the same ring.
+ * Live view: every @p interval_ms, refresh the derived gauges, take a
+ * registry snapshot and show its difference from the previous one, until
+ * the user quits or @p frames frames were shown (0 = until quit).
  */
 void
-runTop(uint64_t interval_ms, uint64_t frames)
+runTop(core::ShardRouter &router, uint64_t interval_ms, uint64_t frames)
 {
-    auto &tel = telemetry::Telemetry::global();
     const bool ansi = isatty(STDOUT_FILENO) != 0;
-    tel.sampleNow();  // prime the baseline if there is none yet
+    auto &reg = stats::StatsRegistry::global();
+    router.publishGauges();
+    stats::StatsSnapshot prev = reg.snapshot();
+    uint64_t prev_ns = nowNs();
     for (uint64_t i = 0; frames == 0 || i < frames; i++) {
         if (waitQuitOrTimeout(interval_ms))
             break;
-        tel.sampleNow();
-        const auto series = tel.series();
-        if (series.empty())
-            continue;
-        renderTopFrame(series.back(), ansi);
+        router.publishGauges();
+        stats::StatsSnapshot cur = reg.snapshot();
+        const uint64_t now_ns = nowNs();
+        const double dt_s =
+            std::max(static_cast<double>(now_ns - prev_ns) / 1e9, 1e-9);
+        renderTopFrame(TopWindow{prev, cur, dt_s}, i, ansi);
+        prev = std::move(cur);
+        prev_ns = now_ns;
     }
 }
 
@@ -388,19 +435,12 @@ help()
         "  trace clear                drop recorded events + slow ops\n"
         "  top [ms] [frames]          live per-layer rate/occupancy "
         "view (default 1000 ms)\n"
-        "  telemetry on [ms]          start the background sampler "
-        "(default 100 ms)\n"
-        "  telemetry off              stop the sampler (series kept)\n"
-        "  telemetry dump <file>      export the series JSON "
-        "(scripts/telemetry_report.py)\n"
         "  profile [sec] [file]       sample CPU for sec seconds "
         "(default 5) and print/export\n"
         "                             collapsed stacks "
         "(scripts/flamegraph.py renders them)\n"
         "  contention                 lock-wait folded stacks "
         "(prism.lock.* sites)\n"
-        "  telemetry status           sampler state + recorded windows\n"
-        "  telemetry clear            drop the recorded series\n"
         "  slowops                    show captured slow ops, worst "
         "first\n"
         "  tracegen <mix> <n> <file>  synthesize a YCSB trace "
@@ -463,8 +503,7 @@ main(int argc, char **argv)
         return r.healthy ? 0 : 1;
     }
     if (subcommand == "metrics") {
-        store.router().publishOccupancy();
-        trace::TraceRegistry::global().publishStats();
+        store.router().publishGauges();
         const auto snap = stats::StatsRegistry::global().snapshot();
         if (prom)
             std::printf("%s", obs::renderPrometheus(snap).c_str());
@@ -628,7 +667,7 @@ main(int argc, char **argv)
             in >> ms >> frames;
             if (ms == 0)
                 ms = 1000;
-            runTop(ms, frames);
+            runTop(store.router(), ms, frames);
         } else if (cmd == "profile") {
             double seconds = 5.0;
             std::string file;
@@ -658,52 +697,6 @@ main(int argc, char **argv)
             }
         } else if (cmd == "contention") {
             std::fputs(prof::renderContentionFolded().c_str(), stdout);
-        } else if (cmd == "telemetry") {
-            std::string sub;
-            in >> sub;
-            auto &tel = telemetry::Telemetry::global();
-            if (sub == "on") {
-                uint64_t ms = 100;
-                in >> ms;
-                if (tel.start(ms == 0 ? 100 : ms))
-                    std::printf("telemetry sampling every %llu ms\n",
-                                static_cast<unsigned long long>(
-                                    tel.intervalMs()));
-                else
-                    std::printf("already running (every %llu ms)\n",
-                                static_cast<unsigned long long>(
-                                    tel.intervalMs()));
-            } else if (sub == "off") {
-                tel.stop();
-                std::printf("telemetry stopped (%zu windows kept)\n",
-                            tel.sampleCount());
-            } else if (sub == "dump") {
-                std::string file;
-                if (!(in >> file)) {
-                    std::printf("usage: telemetry dump <file>\n");
-                    continue;
-                }
-                if (tel.exportSeriesJsonToFile(file))
-                    std::printf("series (%zu windows) written to %s "
-                                "(render with "
-                                "scripts/telemetry_report.py)\n",
-                                tel.sampleCount(), file.c_str());
-                else
-                    std::printf("cannot write %s\n", file.c_str());
-            } else if (sub == "status") {
-                std::printf("sampler %s, interval %llu ms, %zu/%zu "
-                            "windows recorded\n",
-                            tel.running() ? "running" : "stopped",
-                            static_cast<unsigned long long>(
-                                tel.intervalMs()),
-                            tel.sampleCount(), tel.capacity());
-            } else if (sub == "clear") {
-                tel.clear();
-                std::printf("OK\n");
-            } else {
-                std::printf("usage: telemetry on [ms]|off|dump "
-                            "<file>|status|clear\n");
-            }
         } else if (cmd == "slowops") {
             printSlowOps(store.router().slowOps());
         } else if (cmd == "tracegen") {
@@ -739,7 +732,6 @@ main(int argc, char **argv)
     }
     if (resp)
         resp->stop();
-    telemetry::Telemetry::global().stop();
     if (dump_stats) {
         const auto snap = stats::StatsRegistry::global().snapshot();
         if (dump_json)

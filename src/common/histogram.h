@@ -32,8 +32,8 @@ class Histogram {
 
     /**
      * Subtract an earlier copy of this histogram, leaving only the
-     * samples recorded in between (the interval-delta primitive the
-     * telemetry sampler builds rate windows from). Assumes @p earlier
+     * samples recorded in between (the interval-delta primitive behind
+     * StatsSnapshot::histogramDelta). Assumes @p earlier
      * is a prefix of this histogram — same metric, snapshotted earlier
      * — and clamps per bucket so a mismatched pair cannot underflow.
      * count/sum (and hence mean) are exact; min/max are recomputed from

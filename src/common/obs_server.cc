@@ -20,7 +20,6 @@
 #include "common/histogram.h"
 #include "common/log.h"
 #include "common/logging.h"
-#include "common/telemetry.h"
 #include "common/trace.h"
 
 namespace prism::obs {
@@ -354,7 +353,6 @@ constexpr char kIndexBody[] =
     "  /healthz    liveness (200/503) + error-budget JSON\n"
     "  /readyz     readiness (200/503)\n"
     "  /slowops    captured slow ops (JSON)\n"
-    "  /telemetry  prism.telemetry.v1 series (JSON)\n"
     "  /trace      Chrome-trace export (JSON)\n"
     "  /pprof/profile?seconds=N[&hz=H]  CPU profile, collapsed stacks\n"
     "  /pprof/contention                lock-wait folded stacks\n";
@@ -415,10 +413,6 @@ ObsServer::Impl::handle(const std::string &target,
     if (target == "/slowops")
         return httpResponse(200, "OK", "application/json",
                             renderSlowOpsJson());
-    if (target == "/telemetry")
-        return httpResponse(
-            200, "OK", "application/json",
-            telemetry::Telemetry::global().exportSeriesJson());
     if (target == "/trace")
         return httpResponse(200, "OK", "application/json",
                             trace::TraceRegistry::global().exportJson());

@@ -10,8 +10,8 @@
  *     net::EventLoop (common/event_loop.h) serving
  *     GET /metrics (Prometheus text exposition of the stats registry),
  *     /healthz + /readyz (JSON with 200/503 semantics, fed by a
- *     caller-supplied HealthReport provider), /slowops, /telemetry
- *     (prism.telemetry.v1 series), and /trace (Chrome-trace JSON).
+ *     caller-supplied HealthReport provider), /slowops, and /trace
+ *     (Chrome-trace JSON).
  *     Off by default; PrismOptions::obs_port / $PRISM_OBS_PORT turn it
  *     on, port 0 binds an ephemeral port published via port() and the
  *     prism.obs.port gauge. Binds 127.0.0.1 only — this is an ops
@@ -83,7 +83,7 @@ class ObsServer {
      * @p health backs /healthz + /readyz (unset → defaultHealthReport());
      * @p metrics_prepare runs before every /metrics snapshot, for gauges
      * computed on demand rather than maintained incrementally (e.g.
-     * ShardRouter::publishOccupancy). Both run on the server thread per
+     * ShardRouter::publishGauges). Both run on the server thread per
      * request and must be cheap and thread-safe.
      */
     explicit ObsServer(std::function<HealthReport()> health = nullptr,

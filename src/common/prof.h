@@ -28,8 +28,8 @@
  *     bounded per-site table (the poor man's holder stack — cheap
  *     enough to leave on). Disabled cost: one relaxed load per
  *     lock()/unlock(). Metrics surface as prism.lock.<site>.* in the
- *     stats registry, so /metrics, telemetry and `prism_cli top` see
- *     them for free.
+ *     stats registry, so /metrics and `prism_cli top` see them for
+ *     free.
  *
  * Thread lifecycle hooks live in ThreadId::self() (registration) and
  * its TLS destructor (timer teardown before the dense id is recycled),

@@ -47,7 +47,7 @@ thread_local uint64_t t_child_ns[kAcctDepth];
 constexpr size_t kMaxClassifiedNames = 4096;
 std::atomic<uint8_t> g_layer_of[kMaxClassifiedNames];
 
-/** Per-layer cumulative self-time; sharded counters, read by telemetry. */
+/** Per-layer cumulative self-time; sharded counters (layerBusyNs). */
 std::array<stats::Counter, kNumLayers> &
 layerBusyCounters()
 {

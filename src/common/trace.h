@@ -74,13 +74,14 @@ constexpr size_t kNumLayers = 7;
 /** Stable lowercase layer name ("core", "pwb", ...). */
 const char *layerName(size_t layer);
 
-/** Classify a span name by prefix (exposed for tests/telemetry). */
+/** Classify a span name by prefix. */
 Layer layerOfSpanName(std::string_view name);
 
 /**
  * Cumulative self-time attributed to @p layer across all threads, in
- * ns. Monotonic; only grows while tracing is enabled. Telemetry
- * windows it into per-interval busy series.
+ * ns. Monotonic; only grows while tracing is enabled. publishStats()
+ * exports it as the prism.trace.busy_ns.<layer> gauges, whose deltas
+ * `prism_cli top` shows as busy cores per layer.
  */
 uint64_t layerBusyNs(size_t layer);
 

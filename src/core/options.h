@@ -7,8 +7,10 @@
  * (common/prof.h).
  *
  * Defaults reflect the paper's setup scaled to a single-machine
- * simulation: 512 KB Value Storage chunks, queue depth 64, a 50% PWB
- * reclamation watermark, and a 2Q SVC. Feature flags expose the ablations
+ * simulation: 512 KB Value Storage chunks, queue depth 64 and a 2Q SVC.
+ * Values no caller varies (the 50% PWB reclamation watermark, the GC
+ * pass width, the TA batching window, the 60 KB value limit) are named
+ * constants where they are used. Feature flags expose the ablations
  * of §7.6 (thread combining vs timeout batching, SVC on/off, scan-aware
  * reorganisation on/off).
  */
@@ -37,8 +39,6 @@ struct PrismOptions {
     ///@{
     /** Per-thread PWB capacity in bytes. */
     uint64_t pwb_size_bytes = 16ull * 1024 * 1024;
-    /** Utilization fraction that triggers background reclamation. */
-    double pwb_reclaim_watermark = 0.5;
     ///@}
 
     /** @name Value Storage (§4.2, §5.1) */
@@ -47,8 +47,6 @@ struct PrismOptions {
     uint64_t chunk_bytes = 512 * 1024;
     /** Utilization fraction that triggers garbage collection. */
     double vs_gc_watermark = 0.80;
-    /** Number of victim chunks merged per GC pass. */
-    int gc_victims_per_pass = 4;
     ///@}
 
     /** @name Scan-aware Value Cache (§4.4) */
@@ -65,8 +63,6 @@ struct PrismOptions {
     ReadBatchMode read_batch_mode = ReadBatchMode::kThreadCombining;
     /** Coalescing limit (io_uring queue depth); the paper uses 64. */
     int read_queue_depth = 64;
-    /** TA mode: wait this long for more requests before submitting. */
-    uint64_t timeout_batch_us = 100;
     ///@}
 
     /** @name HSIT sizing (§4.5) */
@@ -118,19 +114,6 @@ struct PrismOptions {
     int numa_node = -1;
     ///@}
 
-    /** Largest supported value (one record must fit a chunk and the
-     *  packed address size field). */
-    uint32_t max_value_bytes = 60 * 1024;
-
-    /**
-     * Background reclaimer safety-net poll interval. The hot path is
-     * edge-triggered — a put whose ring crosses the watermark notifies
-     * the reclaimer directly (Pwb::armReclaimHint) — so this poll only
-     * bounds staleness for the re-dispatch gate and epoch advancement;
-     * it no longer needs to be sub-millisecond to keep up with writes.
-     */
-    uint64_t reclaimer_poll_us = 10000;
-
     /** @name Background I/O engine (§5.2, src/core/bg_pool.h) */
     ///@{
     /**
@@ -142,25 +125,6 @@ struct PrismOptions {
      * kept for ablation).
      */
     int bg_workers = 4;
-    /**
-     * Chunk writes kept in flight per reclamation pass. Each completed
-     * chunk publishes its HSIT entries immediately instead of waiting
-     * for a full-pass barrier, overlapping SSD writes with NVM-side
-     * scan/filter work. 1 degenerates to write-then-publish per chunk;
-     * values beyond the per-SSD queue depth add no overlap.
-     */
-    int reclaim_pipeline_depth = 4;
-    /**
-     * PWB utilization at or above which a reclamation pass also submits
-     * its final *partial* chunk. Below it, passes are thrifty: they
-     * relocate full chunks only and leave the straggler records in the
-     * ring for a later pass (they are durable there, and most become
-     * stale and free to drop — §4.3's dedup). This keeps a hot-update
-     * workload from sealing a nearly-empty chunk per pass, which would
-     * inflate SSD write amplification and exhaust chunks when GC is
-     * throttled. flushAll() always forces full submission.
-     */
-    double pwb_reclaim_force_utilization = 0.90;
     ///@}
 
     /** @name Observability (docs/OBSERVABILITY.md) */
@@ -175,21 +139,8 @@ struct PrismOptions {
      */
     bool trace_enabled = false;
     /**
-     * When > 0, start the process-wide telemetry sampler
-     * (src/common/telemetry.h) at this interval: every tick snapshots
-     * the stats registry into a ring of interval deltas (rate series,
-     * occupancy series, per-layer busy-ns, per-device utilization).
-     * Off (0) by default; ~100 ms is the intended granularity. The
-     * store that started the sampler stops it on close; the recorded
-     * series survives for export (ShardRouter::telemetry()).
-     */
-    uint64_t telemetry_interval_ms = 0;
-    /** Telemetry ring capacity in sampling windows (default 600 ≈ one
-     *  minute at 100 ms). */
-    uint64_t telemetry_windows = 600;
-    /**
      * HTTP ops endpoint (common/obs_server.h): TCP port for /metrics,
-     * /healthz, /readyz, /slowops, /telemetry and /trace on 127.0.0.1.
+     * /healthz, /readyz, /slowops and /trace on 127.0.0.1.
      * -1 (the default) defers to $PRISM_OBS_PORT, then stays off;
      * 0 binds an ephemeral port (published as the prism.obs.port gauge
      * and via ShardRouter::obsPort()); >0 binds that port. The router

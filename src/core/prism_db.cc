@@ -25,6 +25,41 @@ namespace {
 /** Async get: re-lookups after the record moved mid-flight. */
 constexpr int kAsyncLookupRetries = 8;
 
+/** Largest supported value: one record must fit a chunk and the packed
+ *  address size field. */
+constexpr size_t kMaxValueBytes = 60 * 1024;
+
+/** PWB utilization that triggers background reclamation. */
+constexpr double kReclaimWatermark = 0.5;
+
+/**
+ * PWB utilization at or above which a reclamation pass also submits its
+ * final *partial* chunk. Below it, passes are thrifty: they relocate
+ * full chunks only and leave the straggler records in the ring for a
+ * later pass (they are durable there, and most become stale and free to
+ * drop — §4.3's dedup). This keeps a hot-update workload from sealing a
+ * nearly-empty chunk per pass, which would inflate SSD write
+ * amplification and exhaust chunks when GC is throttled. flushAll()
+ * always forces full submission.
+ */
+constexpr double kReclaimForceUtilization = 0.90;
+
+/**
+ * Chunk writes kept in flight per reclamation pass. Each completed chunk
+ * publishes its HSIT entries immediately instead of waiting for a
+ * full-pass barrier, overlapping SSD writes with NVM-side scan/filter
+ * work.
+ */
+constexpr int kReclaimPipelineDepth = 4;
+
+/**
+ * Background reclaimer safety-net poll. The hot path is edge-triggered —
+ * a put whose ring crosses the watermark notifies the reclaimer directly
+ * (Pwb::armReclaimHint) — so this poll only bounds staleness for the
+ * re-dispatch gate and epoch advancement.
+ */
+constexpr std::chrono::microseconds kReclaimerPoll{10000};
+
 /** Aim @p r at [offset, offset + len) of its SSD, read into @p buf. */
 void
 aimRead(ReadBatcher::Read &r, std::vector<uint8_t> &buf, uint64_t offset,
@@ -310,7 +345,7 @@ PrismDb::clearOldLocation(uint64_t hsit_idx, ValueAddr old_addr)
 Status
 PrismDb::put(uint64_t key, std::string_view value)
 {
-    if (value.size() > opts_.max_value_bytes)
+    if (value.size() > kMaxValueBytes)
         return Status::invalidArgument("value too large");
     PRISM_TRACE_OP(op_scope, "prism.put");
     reg_.puts->inc();
@@ -371,7 +406,7 @@ PrismDb::put(uint64_t key, std::string_view value)
                 // on a long safety-net poll and relies on this notify
                 // when a ring crosses the watermark (one syscall per
                 // crossing, not per append).
-                if (pwb->utilization() >= opts_.pwb_reclaim_watermark &&
+                if (pwb->utilization() >= kReclaimWatermark &&
                     pwb->armReclaimHint())
                     reclaim_cv_.notify_all();
                 return Status::ok();
@@ -827,9 +862,8 @@ PrismDb::reclaimPwb(Pwb *pwb, bool force)
     // Near-full rings (a stalled put dispatches at ~100% utilization)
     // must reclaim everything they can; under lighter pressure a pass
     // may leave a partial chunk's worth of records behind rather than
-    // seal a nearly-empty chunk (see pwb_reclaim_force_utilization).
-    force = force ||
-            pwb->utilization() >= opts_.pwb_reclaim_force_utilization;
+    // seal a nearly-empty chunk (see kReclaimForceUtilization).
+    force = force || pwb->utilization() >= kReclaimForceUtilization;
 
     // Start past every range a still-deferred head advance may cover:
     // that space can be recycled mid-pass, so its bytes must not be
@@ -892,12 +926,11 @@ PrismDb::reclaimPwb(Pwb *pwb, bool force)
     }
 
     if (!live.empty()) {
-        // Pipelined chunk writes: up to reclaim_pipeline_depth chunks
+        // Pipelined chunk writes: up to kReclaimPipelineDepth chunks
         // stay in flight, and each chunk's records are published the
         // moment its write completes — the pass no longer serializes
         // behind a full-barrier finish() (§5.2, Fig. 4).
-        ChunkWriter writer(vs_ptrs_, /*seed=*/42,
-                           opts_.reclaim_pipeline_depth);
+        ChunkWriter writer(vs_ptrs_, /*seed=*/42, kReclaimPipelineDepth);
         std::vector<ValueAddr> placed(live.size());
         writer.setChunkCallback([&](ValueStorage *vs, int64_t chunk,
                                     size_t first, size_t count) {
@@ -1075,8 +1108,7 @@ PrismDb::reclaimerLoop()
     numa::pinThreadToNode(opts_.numa_node);
     std::unique_lock<std::mutex> lock(reclaim_mu_);
     while (!stop_.load(std::memory_order_acquire)) {
-        reclaim_cv_.wait_for(
-            lock, std::chrono::microseconds(opts_.reclaimer_poll_us));
+        reclaim_cv_.wait_for(lock, kReclaimerPoll);
         if (stop_.load(std::memory_order_acquire))
             return;
         lock.unlock();
@@ -1088,7 +1120,7 @@ PrismDb::reclaimerLoop()
             // this pass is deciding will raise a fresh notify.
             pwb->clearReclaimHint();
             const double util = pwb->utilization();
-            if (util < opts_.pwb_reclaim_watermark)
+            if (util < kReclaimWatermark)
                 continue;
             // Re-dispatch gate: a thrifty pass leaves the ring over the
             // watermark on purpose (deferred stragglers), so utilization
@@ -1099,7 +1131,7 @@ PrismDb::reclaimerLoop()
             // puts and flushAll dispatch directly and skip this gate.
             if (pwb->tailLogical() - pwb->lastScanTail() >=
                     opts_.chunk_bytes ||
-                util >= opts_.pwb_reclaim_force_utilization)
+                util >= kReclaimForceUtilization)
                 dispatchReclaim(pwb);
         }
         epochs_.tryAdvance();

@@ -30,9 +30,9 @@
  * one completion thread per Value Storage.
  *
  * A shard has no process-wide side effects: the fault registry, tracer,
- * telemetry sampler, profiler, crash handlers and HTTP ops server are
- * armed once, by the router. Every counter a shard bumps lives in the
- * process-wide stats registry (docs/OBSERVABILITY.md).
+ * profiler, crash handlers and HTTP ops server are armed once, by the
+ * router. Every counter a shard bumps lives in the process-wide stats
+ * registry (docs/OBSERVABILITY.md).
  *
  * Crash consistency: see §5.5 / runRecovery(). The store can be shut
  * down abruptly (or its devices snapshotted mid-run) and reopened with
@@ -248,13 +248,13 @@ class PrismDb {
     void gcLoop();
     /**
      * One reclamation pass over @p pwb (§5.2, Fig. 4), pipelined: up to
-     * reclaim_pipeline_depth chunk writes stay in flight, each chunk
+     * kReclaimPipelineDepth chunk writes stay in flight, each chunk
      * publishing its HSIT entries as its write completes. Serialized
      * per PWB by Pwb::passMutex(); passes on different PWBs run
      * concurrently on the bg pool. Unless @p force is set (flushAll)
      * or the ring is near-full, the pass is thrifty: it submits full
      * chunks only and leaves stragglers in the ring (see
-     * PrismOptions::pwb_reclaim_force_utilization).
+     * kReclaimForceUtilization in prism_db.cc).
      */
     void reclaimPwb(Pwb *pwb, bool force = false);
     /**

@@ -1,6 +1,7 @@
 #include "core/read_batcher.h"
 
 #include <algorithm>
+#include <chrono>
 
 #include "common/clock.h"
 #include "common/logging.h"
@@ -11,12 +12,13 @@ namespace prism::core {
 namespace {
 /** Resubmissions of a read that failed with a transient I/O error. */
 constexpr int kMaxRetries = 3;
+/** TA mode: how long the batcher waits for more reads before submitting. */
+constexpr std::chrono::microseconds kTimeoutBatch{100};
 }  // namespace
 
 ReadBatcher::ReadBatcher(io::IoBackend &device, ReadBatchMode mode,
-                         int queue_depth, uint64_t timeout_us)
-    : device_(device), mode_(mode), queue_depth_(queue_depth),
-      timeout_us_(timeout_us)
+                         int queue_depth)
+    : device_(device), mode_(mode), queue_depth_(queue_depth)
 {
     PRISM_CHECK(queue_depth_ >= 1);
     auto &reg = stats::StatsRegistry::global();
@@ -210,7 +212,7 @@ ReadBatcher::taLoop()
         // Wait out the batching window (or until the batch is full) in
         // the hope of coalescing more requests — the "TA" strawman whose
         // latency cost Fig. 11 quantifies.
-        ta_cv_.wait_for(lock, std::chrono::microseconds(timeout_us_),
+        ta_cv_.wait_for(lock, kTimeoutBatch,
                         [this] {
                             return stop_ ||
                                    ta_pending_.size() >=

@@ -14,12 +14,18 @@
  * issuer appends its read, or a chain of reads, with one atomic swap on
  * the tail. The issuer that finds the queue empty becomes the *leader*:
  * it walks the queue and submits batches of at most queue-depth reads
- * until it can close the queue behind the last read it took. Many
- * concurrent issuers form large batches (bandwidth); a lone issuer
- * submits at once (latency). A read may complete, and its owner free it,
- * as soon as it is submitted, so the leader resolves each read's
- * successor, or closes the queue at it, before it submits the batch that
- * holds it.
+ * until it can close the queue behind the last read it took. A read may
+ * complete, and its owner free it, as soon as it is submitted, so the
+ * leader resolves each read's successor, or closes the queue at it,
+ * before it submits the batch that holds it.
+ *
+ * What that means for batching: a batch holds a chain (a multiGet's or
+ * a scan's reads of this SSD) plus whatever other issuers appended
+ * before the leader reached the end of the queue. A lone read closes the
+ * queue before its own submit, so an issuer that arrives during that
+ * submit finds the queue empty and leads alone: concurrent blocking
+ * gets, one read each, are submitted one by one (Fig. 11 measures a
+ * combine ratio of 1.00). A lone issuer submits at once (latency).
  *
  * The timeout-based alternative ("TA" in Fig. 11) and no combining are
  * the two other policies of the same queue, kept for the ablation
@@ -84,10 +90,8 @@ class ReadBatcher {
      * @param device      the Value Storage's device (any io::IoBackend).
      * @param mode        batching policy.
      * @param queue_depth reads per device submission at most (paper: 64).
-     * @param timeout_us  TA mode batching window.
      */
-    ReadBatcher(io::IoBackend &device, ReadBatchMode mode, int queue_depth,
-                uint64_t timeout_us);
+    ReadBatcher(io::IoBackend &device, ReadBatchMode mode, int queue_depth);
     ~ReadBatcher();
 
     ReadBatcher(const ReadBatcher &) = delete;
@@ -130,7 +134,6 @@ class ReadBatcher {
     io::IoBackend &device_;
     ReadBatchMode mode_;
     int queue_depth_;
-    uint64_t timeout_us_;
 
     // TC state.
     std::atomic<Read *> tail_{nullptr};

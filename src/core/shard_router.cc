@@ -14,7 +14,6 @@
 #include "common/obs_server.h"
 #include "common/prof.h"
 #include "common/rand.h"
-#include "common/telemetry.h"
 #include "common/trace.h"
 
 namespace prism::core {
@@ -111,15 +110,6 @@ ShardRouter::ShardRouter(const PrismOptions &opts,
     }
     recovery_ns_ = nowNs() - t0;
 
-    // The occupancy probe is registered unconditionally so manual
-    // sampling (prism_cli `top`, tests) sees PWB/SVC fill even when the
-    // periodic sampler is off.
-    auto &tel = telemetry::Telemetry::global();
-    telemetry_probe_ = tel.addProbe([this] { publishOccupancy(); });
-    if (opts_.telemetry_interval_ms > 0) {
-        tel.setCapacity(opts_.telemetry_windows);
-        telemetry_started_ = tel.start(opts_.telemetry_interval_ms);
-    }
     // $PRISM_PROF_HZ arms the profiler; unset (the default) keeps it
     // entirely off — no timers, no rings.
     if (const int hz = prof::resolveHz(); hz > 0)
@@ -130,12 +120,7 @@ ShardRouter::ShardRouter(const PrismOptions &opts,
     const int obs_port = obs::resolveObsPort(opts_.obs_port);
     if (obs_port >= 0) {
         obs_ = std::make_unique<obs::ObsServer>(
-            [this] { return healthReport(); },
-            [this] {
-                publishOccupancy();
-                trace::TraceRegistry::global().publishStats();
-                prof::Profiler::global().publishStats();
-            });
+            [this] { return healthReport(); }, [this] { publishGauges(); });
         std::string err;
         if (!obs_->start(obs_port, &err)) {
             PRISM_LOG_WARN("obs.server", "ops endpoint disabled: %s",
@@ -152,13 +137,6 @@ ShardRouter::~ShardRouter()
     // Router-level async scans hold `this`; wait them out first.
     while (async_scan_inflight_.load(std::memory_order_acquire) != 0)
         std::this_thread::yield();
-    // Unhook telemetry before any state the probe reads is torn down;
-    // stop the sampler only if this router started it (the recorded
-    // series stays readable/exportable after close).
-    auto &tel = telemetry::Telemetry::global();
-    if (telemetry_started_)
-        tel.stop();
-    tel.removeProbe(telemetry_probe_);
     if (prof_started_)
         prof::Profiler::global().stop();
     // Shards first (each quiesces its own pool tasks), then the shared
@@ -189,6 +167,14 @@ ShardRouter::publishOccupancy()
     reg_svc_used_->set(svc_used);
     reg_svc_cap_->set(svc_cap);
     reg_vs_chunks_->set(vs_chunks);
+}
+
+void
+ShardRouter::publishGauges()
+{
+    publishOccupancy();
+    trace::TraceRegistry::global().publishStats();
+    prof::Profiler::global().publishStats();
 }
 
 ErrorBudget

@@ -21,19 +21,18 @@
  *
  * Process-wide wiring: the router is the one owner of everything a
  * store arms beyond its shards — the fault registry (environment and
- * PrismOptions::fault_spec), the tracer (trace_enabled), the telemetry
- * sampler and its occupancy probe, the profiler ($PRISM_PROF_HZ), the
- * crash handlers ($PRISM_POSTMORTEM_DIR) and the HTTP ops server
- * (obs_port). Options only ever raise process-wide state, and the
- * destructor stops only what this router started. Shards have no
- * process-wide side effects.
+ * PrismOptions::fault_spec), the tracer (trace_enabled), the profiler
+ * ($PRISM_PROF_HZ), the crash handlers ($PRISM_POSTMORTEM_DIR) and the
+ * HTTP ops server (obs_port). Options only ever raise process-wide
+ * state, and the destructor stops only what this router started.
+ * Shards have no process-wide side effects.
  *
  * Placement: on multi-node machines each shard is assigned a NUMA node
  * round-robin (common/numa.h) and its background threads (reclaimer,
  * GC scheduler, VS completion) are pinned there; single-node machines
  * run unpinned. The assignment is surfaced per shard as
  * prism.shard.<n>.node and the per-shard key count as
- * prism.shard.<n>.keys (published by the occupancy probe), plus a
+ * prism.shard.<n>.keys (published by publishOccupancy()), plus a
  * prism.shard.<n>.ops counter on the routing hot path.
  *
  * Routing: shardOf(key) = hash64(key) & (N-1); N must be a power of
@@ -67,7 +66,6 @@
 
 #include "common/stats.h"
 #include "common/status.h"
-#include "common/telemetry.h"
 #include "common/trace.h"
 #include "core/async.h"
 #include "core/bg_pool.h"
@@ -219,10 +217,15 @@ class ShardRouter {
     /**
      * Refresh the derived gauges in the stats registry: per-shard key
      * counts and the PWB/SVC/Value Storage occupancy summed over shards.
-     * Registered as the telemetry probe and run before every /metrics
-     * render; also useful before a manual snapshot.
      */
     void publishOccupancy();
+    /**
+     * Refresh every gauge that is computed on demand rather than
+     * maintained: publishOccupancy() plus the tracer's and the
+     * profiler's own gauges. Run before every /metrics render and every
+     * `prism_cli top` frame; also useful before a manual snapshot.
+     */
+    void publishGauges();
 
     /** Total SSD bytes written across every shard (WAF numerator). */
     uint64_t ssdBytesWritten() const;
@@ -233,17 +236,6 @@ class ShardRouter {
     size_t valueStorageCount() const;
     ValueStorage &valueStorage(size_t global_idx);
 
-    /**
-     * The process-wide telemetry sampler/ring (common/telemetry.h):
-     * windowed rate series over every registry metric plus per-layer
-     * busy-ns and per-device utilization. Started when
-     * PrismOptions::telemetry_interval_ms > 0; `series()` reads the
-     * recorded windows, `exportSeriesJsonToFile` writes the series
-     * consumed by scripts/telemetry_report.py.
-     */
-    telemetry::Telemetry &telemetry() const {
-        return telemetry::Telemetry::global();
-    }
     /**
      * Captured slow operations, worst first (ops slower than the
      * tracer's slow-op threshold; see common/trace.h). Process-wide,
@@ -283,8 +275,6 @@ class ShardRouter {
     uint64_t recovery_ns_ = 0;
 
     /** Process-wide wiring this router started, and so stops. */
-    int telemetry_probe_ = -1;
-    bool telemetry_started_ = false;
     bool prof_started_ = false;
     /** HTTP ops endpoint; stopped first in the destructor, because its
      *  handlers call back into the shards. */

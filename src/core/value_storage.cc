@@ -12,12 +12,16 @@
 
 namespace prism::core {
 
+namespace {
+/** Victim chunks merged per GC pass, fewest live units first. */
+constexpr size_t kGcVictimsPerPass = 4;
+}  // namespace
+
 ValueStorage::ValueStorage(uint32_t ssd_id,
                            std::shared_ptr<io::IoBackend> device,
                            const PrismOptions &opts, EpochManager &epochs)
     : ssd_id_(ssd_id), device_(std::move(device)),
       chunk_bytes_(opts.chunk_bytes), gc_watermark_(opts.vs_gc_watermark),
-      gc_victims_per_pass_(opts.gc_victims_per_pass),
       numa_node_(opts.numa_node), epochs_(epochs),
       metas_(device_->capacity() / opts.chunk_bytes)
 {
@@ -42,9 +46,8 @@ ValueStorage::ValueStorage(uint32_t ssd_id,
     // Hand out low chunk indices first (purely cosmetic determinism).
     std::reverse(free_chunks_.begin(), free_chunks_.end());
 
-    reader_ = std::make_unique<ReadBatcher>(
-        *device_, opts.read_batch_mode, opts.read_queue_depth,
-        opts.timeout_batch_us);
+    reader_ = std::make_unique<ReadBatcher>(*device_, opts.read_batch_mode,
+                                            opts.read_queue_depth);
     completion_thread_ = std::thread([this] { completionLoop(); });
 }
 
@@ -296,8 +299,8 @@ ValueStorage::runGcPass(Hsit &hsit, Svc *svc)
               [](const Victim &a, const Victim &b) {
                   return a.live < b.live;
               });
-    if (victims.size() > static_cast<size_t>(gc_victims_per_pass_))
-        victims.resize(static_cast<size_t>(gc_victims_per_pass_));
+    if (victims.size() > kGcVictimsPerPass)
+        victims.resize(kGcVictimsPerPass);
     if (victims.empty())
         return 0;
 

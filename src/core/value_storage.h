@@ -233,7 +233,6 @@ class ValueStorage {
     std::shared_ptr<io::IoBackend> device_;
     uint64_t chunk_bytes_;
     double gc_watermark_;
-    int gc_victims_per_pass_;
     int numa_node_;  ///< completion-thread placement; -1 = unpinned
     EpochManager &epochs_;
 

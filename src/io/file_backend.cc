@@ -235,11 +235,8 @@ PosixFileBackend::submit(std::span<const IoRequest> batch)
     ins_.decideFaults(batch, faults);
 
     const uint64_t now = nowNs();
-    const uint64_t depth =
-        inflight_.fetch_add(batch.size(), std::memory_order_acq_rel) +
-        batch.size();
+    inflight_.fetch_add(batch.size(), std::memory_order_acq_rel);
     ins_.inflight->add(static_cast<int64_t>(batch.size()));
-    DeviceInstruments::noteDepth(stats_, depth);
 
     {
         std::lock_guard<std::mutex> lock(q_mu_);

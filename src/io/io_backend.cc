@@ -148,16 +148,6 @@ DeviceInstruments::account(IoDeviceStats &s, const IoRequest &req,
     }
 }
 
-void
-DeviceInstruments::noteDepth(IoDeviceStats &s, uint64_t depth)
-{
-    uint64_t prev = s.max_queue_depth.load(std::memory_order_relaxed);
-    while (depth > prev &&
-           !s.max_queue_depth.compare_exchange_weak(
-               prev, depth, std::memory_order_relaxed)) {
-    }
-}
-
 const char *
 backendKindName(IoBackendKind kind)
 {

@@ -50,9 +50,9 @@
  * families ("sim.ssd.*" — the prefix is historical; it covers every
  * IoBackend device), per-device series ("sim.ssd.<n>.*") and fault
  * sites ("ssd.<n>.io_error" / "torn_write" / "latency" / "dropout"),
- * via DeviceInstruments below. Telemetry, the error budget and the
- * fault harness therefore observe real files exactly like simulated
- * devices.
+ * via DeviceInstruments below. /metrics, `prism_cli top`, the error
+ * budget and the fault harness therefore observe real files exactly
+ * like simulated devices.
  */
 #pragma once
 
@@ -94,7 +94,6 @@ struct IoDeviceStats {
     std::atomic<uint64_t> bytes_written{0};
     std::atomic<uint64_t> read_ops{0};
     std::atomic<uint64_t> write_ops{0};
-    std::atomic<uint64_t> max_queue_depth{0};
 };
 
 /** Queue-pair device interface (contract in the file header). */
@@ -174,12 +173,12 @@ struct IoFault {
  * process-wide device number, the registry counter families, per-device
  * series, the per-device fault sites, and the dropout state plus the
  * fault-decision pass that consults them. Factoring it here is what
- * keeps the PR-3/4/5 infrastructure (stats, telemetry, fault schedules,
- * error budget) working identically on simulated and real devices.
+ * keeps the stats, fault schedules and error budget working identically
+ * on simulated and real devices.
  */
 struct DeviceInstruments {
     /** @param channels published as the "sim.ssd.<n>.channels" gauge —
-     *  the denominator telemetry uses for per-device utilization. */
+     *  the denominator of per-device utilization (`prism_cli top`). */
     explicit DeviceInstruments(int channels);
 
     DeviceInstruments(const DeviceInstruments &) = delete;
@@ -196,8 +195,8 @@ struct DeviceInstruments {
     stats::Gauge *inflight;
     stats::LatencyStat *latency;
 
-    // Per-device series ("sim.ssd.<n>.*"): telemetry derives per-device
-    // bandwidth and utilization from these (busy ÷ window × channels).
+    // Per-device series ("sim.ssd.<n>.*"): two snapshots' deltas give
+    // per-device bandwidth and utilization (busy ÷ window × channels).
     stats::Counter *dev_bytes_read;
     stats::Counter *dev_bytes_written;
     stats::Counter *dev_busy_ns;
@@ -233,9 +232,6 @@ struct DeviceInstruments {
 
     /** Account one request's transfer into @p s and the registry. */
     void account(IoDeviceStats &s, const IoRequest &req, uint32_t xfer);
-
-    /** Track a queue-depth high-water mark after adding @p n requests. */
-    static void noteDepth(IoDeviceStats &s, uint64_t depth);
 };
 
 /** Selectable backend kinds (docs/IO_BACKENDS.md). */

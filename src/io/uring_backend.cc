@@ -78,7 +78,7 @@ sysIoUringEnter(int fd, unsigned to_submit, unsigned min_complete,
 constexpr unsigned kRingEntries = 256;
 
 // The uring backend has no fixed worker count; 8 approximates the
-// device-side parallelism of one NVMe namespace for the telemetry
+// device-side parallelism of one NVMe namespace for the per-device
 // utilization math (busy ÷ window × channels). Documented as
 // approximate in docs/IO_BACKENDS.md.
 constexpr int kUringChannels = 8;
@@ -233,11 +233,8 @@ UringBackend::submit(std::span<const IoRequest> batch)
     ins_.decideFaults(batch, faults);
 
     const uint64_t now = nowNs();
-    const uint64_t depth =
-        inflight_.fetch_add(batch.size(), std::memory_order_acq_rel) +
-        batch.size();
+    inflight_.fetch_add(batch.size(), std::memory_order_acq_rel);
     ins_.inflight->add(static_cast<int64_t>(batch.size()));
-    DeviceInstruments::noteDepth(stats_, depth);
 
     std::vector<IoCompletion> immediate;
     bool woke_reaper = false;

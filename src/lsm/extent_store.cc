@@ -78,6 +78,7 @@ ExtentStore::write(uint64_t offset, const void *src, uint32_t len)
     if (nvm_ != nullptr) {
         std::memcpy(nvm_->raw() + offset, src, len);
         nvm_->chargeWrite(len);
+        nvm_bytes_written_.fetch_add(len, std::memory_order_relaxed);
         return Status::ok();
     }
     return ssd_->writeSync(offset, src, len);
@@ -94,9 +95,8 @@ ExtentStore::usedBytes() const
 uint64_t
 ExtentStore::mediaBytesWritten() const
 {
-    if (nvm_ != nullptr) {
-        return nvm_->stats().bytes_written.load(std::memory_order_relaxed);
-    }
+    if (nvm_ != nullptr)
+        return nvm_bytes_written_.load(std::memory_order_relaxed);
     return ssd_->totalBytesWritten();
 }
 

@@ -10,6 +10,7 @@
  */
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -45,13 +46,18 @@ class ExtentStore {
     uint64_t capacity() const { return capacity_; }
     uint64_t usedBytes() const;
 
-    /** Total bytes physically written to the medium (WAF numerator). */
+    /**
+     * Total bytes physically written to the medium (WAF numerator). On
+     * NVM this store counts its own writes: each fixture gives an
+     * ExtentStore an NVM device of its own.
+     */
     uint64_t mediaBytesWritten() const;
 
   private:
     std::shared_ptr<sim::SsdArray> ssd_;
     std::shared_ptr<sim::NvmDevice> nvm_;
     uint64_t capacity_;
+    std::atomic<uint64_t> nvm_bytes_written_{0};
 
     std::mutex mu_;
     std::map<uint64_t, uint64_t> free_extents_;  ///< offset -> length

@@ -35,8 +35,6 @@ NvmDevice::loadImage(const uint8_t *image, uint64_t bytes)
 void
 NvmDevice::chargeRead(uint64_t bytes)
 {
-    stats_.bytes_read.fetch_add(bytes, std::memory_order_relaxed);
-    stats_.read_ops.fetch_add(1, std::memory_order_relaxed);
     reg_bytes_read_->add(bytes);
     reg_read_ops_->inc();
     if (!model_timing_.load(std::memory_order_relaxed))
@@ -51,8 +49,6 @@ NvmDevice::chargeRead(uint64_t bytes)
 void
 NvmDevice::chargeWrite(uint64_t bytes)
 {
-    stats_.bytes_written.fetch_add(bytes, std::memory_order_relaxed);
-    stats_.write_ops.fetch_add(1, std::memory_order_relaxed);
     reg_bytes_written_->add(bytes);
     reg_write_ops_->inc();
     if (!model_timing_.load(std::memory_order_relaxed))

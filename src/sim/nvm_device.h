@@ -24,14 +24,6 @@
 
 namespace prism::sim {
 
-/** Running I/O counters for one device (bytes are host-issued). */
-struct NvmStats {
-    std::atomic<uint64_t> bytes_read{0};
-    std::atomic<uint64_t> bytes_written{0};
-    std::atomic<uint64_t> read_ops{0};
-    std::atomic<uint64_t> write_ops{0};
-};
-
 /** A byte-addressable NVM DIMM (or interleaved set). */
 class NvmDevice {
   public:
@@ -72,16 +64,14 @@ class NvmDevice {
     void setModelTiming(bool on) { model_timing_ = on; }
     bool modelTiming() const { return model_timing_; }
 
-    NvmStats &stats() { return stats_; }
-
   private:
     uint64_t capacity_;
     DeviceProfile profile_;
     std::atomic<bool> model_timing_;
     std::unique_ptr<uint8_t[]> base_;
-    NvmStats stats_;
 
-    // Shared-by-name process-wide metrics (see common/stats.h).
+    // Shared-by-name process-wide metrics (see common/stats.h): the
+    // sim.nvm.* family, the only count of this device's traffic.
     stats::Counter *reg_bytes_read_;
     stats::Counter *reg_bytes_written_;
     stats::Counter *reg_read_ops_;

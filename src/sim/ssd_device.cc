@@ -232,11 +232,8 @@ SsdDevice::submit(std::span<const SsdIoRequest> batch)
     }
 
     const uint64_t now = nowNs();
-    const uint64_t depth =
-        inflight_.fetch_add(batch.size(), std::memory_order_acq_rel) +
-        batch.size();
+    inflight_.fetch_add(batch.size(), std::memory_order_acq_rel);
     ins_.inflight->add(static_cast<int64_t>(batch.size()));
-    io::DeviceInstruments::noteDepth(stats_, depth);
 
     std::lock_guard<std::mutex> lock(sq_mu_);
     for (size_t i = 0; i < batch.size(); i++) {

@@ -43,7 +43,6 @@ stressOptions()
     opts.hsit_capacity = 64 * 1024;
     opts.chunk_bytes = 64 * 1024;
     opts.bg_workers = 4;
-    opts.reclaim_pipeline_depth = 4;
     return opts;
 }
 

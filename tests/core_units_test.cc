@@ -780,7 +780,7 @@ issueMixedReads(sim::SsdDevice &ssd, ReadBatcher &batcher,
 TEST_P(ReadBatcherTest, ConcurrentReadsAllCorrect)
 {
     auto ssd = stampedSsd();
-    ReadBatcher batcher(*ssd, GetParam(), 16, 50);
+    ReadBatcher batcher(*ssd, GetParam(), 16);
     CompletionThread completer(*ssd);
     constexpr uint64_t kReads = 4000;
     auto &reg = stats::StatsRegistry::global();
@@ -848,7 +848,7 @@ TEST_P(ReadBatcherTest, MalformedReadFailsAlone)
         }
     };
     auto ssd = stampedSsd();
-    ReadBatcher batcher(*ssd, GetParam(), 16, 50);
+    ReadBatcher batcher(*ssd, GetParam(), 16);
     CompletionThread completer(*ssd);
     std::vector<WaitedRead> reads(4);
     std::vector<ReadBatcher::Read *> chain;

@@ -208,7 +208,7 @@ TEST(ObsServer, LifecycleEndpointsAndErrors)
     EXPECT_EQ(metrics.status, 200);
     EXPECT_NE(metrics.body.find("# TYPE"), std::string::npos);
     EXPECT_EQ(httpGet(port, "/slowops").status, 200);
-    EXPECT_EQ(httpGet(port, "/telemetry").status, 200);
+    EXPECT_EQ(httpGet(port, "/telemetry").status, 404);
     EXPECT_EQ(httpGet(port, "/trace").status, 200);
     EXPECT_EQ(httpGet(port, "/nope").status, 404);
     // Query strings are stripped before routing.

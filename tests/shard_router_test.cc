@@ -31,7 +31,6 @@
 #include "common/numa.h"
 #include "common/rand.h"
 #include "common/stats.h"
-#include "common/telemetry.h"
 #include "core/bg_pool.h"
 #include "core/shard_router.h"
 #include "sim/device_profile.h"
@@ -279,7 +278,7 @@ TEST(ShardRouterTest, OccupancyGaugesSumOverShards)
     for (size_t i = 0; i < rig.db->shardCount(); i++)
         rig.db->shard(i).svc().drainForTest();
 
-    telemetry::Telemetry::global().sampleNow();
+    rig.db->publishOccupancy();
     uint64_t pwb_used = 0, pwb_cap = 0, svc_used = 0, svc_cap = 0;
     for (size_t i = 0; i < rig.db->shardCount(); i++) {
         PrismDb &s = rig.db->shard(i);

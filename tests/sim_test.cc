@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "common/clock.h"
+#include "common/stats.h"
 #include "common/waiter.h"
 #include "sim/nvm_device.h"
 #include "sim/ssd_array.h"
@@ -25,11 +26,16 @@ TEST(NvmDeviceTest, RawAccessAndStats)
     NvmDevice dev(1 << 20, kOptaneDcpmmProfile, /*timing=*/false);
     std::memcpy(dev.raw() + 100, "hello", 5);
     EXPECT_EQ(std::memcmp(dev.raw() + 100, "hello", 5), 0);
+    // The sim.nvm.* family is process-wide: count this device's share
+    // as snapshot deltas.
+    const auto before = stats::StatsRegistry::global().snapshot();
     dev.chargeRead(64);
     dev.chargeWrite(128);
-    EXPECT_EQ(dev.stats().bytes_read.load(), 64u);
-    EXPECT_EQ(dev.stats().bytes_written.load(), 128u);
-    EXPECT_EQ(dev.stats().read_ops.load(), 1u);
+    const auto after = stats::StatsRegistry::global().snapshot();
+    EXPECT_EQ(after.counterDelta(before, "sim.nvm.bytes_read"), 64u);
+    EXPECT_EQ(after.counterDelta(before, "sim.nvm.bytes_written"), 128u);
+    EXPECT_EQ(after.counterDelta(before, "sim.nvm.read_ops"), 1u);
+    EXPECT_EQ(after.counterDelta(before, "sim.nvm.write_ops"), 1u);
 }
 
 TEST(NvmDeviceTest, TimingChargesRealTime)
