@@ -12,9 +12,9 @@
  *   PRISM_BENCH_OPS      operations per run     (default 40000)
  *   PRISM_BENCH_THREADS  client threads         (default 8)
  *   PRISM_BENCH_SSDS     number of SSDs         (default 4)
- *   PRISM_BENCH_BACKEND  Prism I/O backend      (default sim;
+ *   PRISM_IO_BACKEND     Prism I/O backend      (default sim;
  *                        sim|posix|uring|auto — docs/IO_BACKENDS.md)
- *   PRISM_BENCH_SHARDS   Prism shard count      (default 1; power of
+ *   PRISM_SHARDS         Prism shard count      (default 1; power of
  *                        two — src/core/shard_router.h)
  */
 #pragma once
@@ -218,7 +218,7 @@ maybeProfileToFileAtExit(int argc, char **argv)
  * @name --backend support (docs/IO_BACKENDS.md)
  *
  * Every bench accepts `--backend={sim,posix,uring,auto}` (or
- * `PRISM_BENCH_BACKEND=<kind>`) to pick the io::IoBackend Prism's
+ * `PRISM_IO_BACKEND=<kind>`) to pick the io::IoBackend Prism's
  * Value Storage runs on: the timing-modelled simulator (default) or
  * real files via the POSIX pool / io_uring. Only the Prism store is
  * switchable; the baselines always simulate. Non-sim runs tag every
@@ -240,13 +240,10 @@ parseBackendFlag(int argc, char **argv)
         if (a.rfind("--backend=", 0) == 0)
             detail::g_backend = std::string(a.substr(10));
     }
-    if (detail::g_backend.empty()) {
-        if (const char *env = std::getenv("PRISM_BENCH_BACKEND"))
-            detail::g_backend = env;
-    }
 }
 
-/** Selector for PrismOptions::io_backend ("" = default resolution). */
+/** Selector for PrismOptions::io_backend ("" = $PRISM_IO_BACKEND, then
+ *  sim). */
 inline const std::string &
 benchBackend()
 {
@@ -269,10 +266,10 @@ benchBackendName()
 /**
  * @name --shards support (src/core/shard_router.h)
  *
- * Every bench accepts `--shards=N` (or `PRISM_SHARDS=N` /
- * `PRISM_BENCH_SHARDS=N`) to run the Prism store as an N-shard
- * ShardRouter (N a power of two; 1 = the default one-shard store).
- * Like `--backend`, only Prism is switchable. Sharded runs tag every
+ * Every bench accepts `--shards=N` (or `PRISM_SHARDS=N`) to run the
+ * Prism store as an N-shard ShardRouter (N a power of two; 1 = the
+ * default one-shard store). Like `--backend`, only Prism is
+ * switchable. Sharded runs tag every
  * JSON row with a `"shards"` field so their rows never collide with
  * the committed unsharded baselines in scripts/bench_compare.py.
  * @{
@@ -292,8 +289,6 @@ parseShardsFlag(int argc, char **argv)
         if (a.rfind("--shards=", 0) == 0)
             n = std::atoi(a.substr(9).data());
     }
-    if (n == 0)
-        n = static_cast<int>(envOr("PRISM_BENCH_SHARDS", 0));
     if (n == 0)
         n = static_cast<int>(envOr("PRISM_SHARDS", 0));
     detail::g_shards = n == 0 ? 1 : n;

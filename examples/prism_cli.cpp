@@ -96,7 +96,7 @@ printStats(ycsb::PrismStore &store)
                 n("prism.puts"), n("prism.gets"), n("prism.dels"),
                 n("prism.scans"));
     std::printf("read sources    svc=%llu pwb=%llu ssd=%llu\n",
-                n("prism.get.svc_hits"), n("prism.get.pwb_hits"),
+                n("prism.svc.hits"), n("prism.get.pwb_hits"),
                 n("prism.get.vs_reads"));
     std::printf("svc             %.1f / %.1f MB used, %llu evictions, "
                 "%llu scan reorgs\n",

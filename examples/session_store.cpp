@@ -100,7 +100,7 @@ main()
     std::printf("client reads:       %llu (SVC hits %llu, PWB hits %llu, "
                 "SSD reads %llu)\n",
                 static_cast<unsigned long long>(reads.load()),
-                delta("prism.get.svc_hits"), delta("prism.get.pwb_hits"),
+                delta("prism.svc.hits"), delta("prism.get.pwb_hits"),
                 delta("prism.get.vs_reads"));
     std::printf("client writes:      %llu (stale versions skipped at "
                 "reclaim: %llu)\n",

@@ -17,15 +17,15 @@
 #   document is only assembled when PRISM_BENCH_OUT is set (a partial
 #   run makes a partial document, which must be opted into).
 #
-# PRISM_BENCH_BACKEND={sim,posix,uring,auto} runs Prism against a real-
+# PRISM_IO_BACKEND={sim,posix,uring,auto} runs Prism against a real-
 # file I/O backend instead of the simulator (docs/IO_BACKENDS.md); the
 # rows then carry a "backend" field and the default document is NOT
 # assembled — real-file rows are a different machine, not a new
 # simulator baseline. Set PRISM_BENCH_OUT explicitly to collect them.
-cd /root/repo
+cd "$(dirname "$0")"
 
 OUT="${PRISM_BENCH_OUT:-}"
-BACKEND="${PRISM_BENCH_BACKEND:-${PRISM_IO_BACKEND:-sim}}"
+BACKEND="${PRISM_IO_BACKEND:-sim}"
 if [ -z "$OUT" ] && [ "$#" -eq 0 ] && [ "$BACKEND" = sim ]; then
   OUT=BENCH_pr4.json
 fi

@@ -12,7 +12,7 @@ namespace prism::core {
 
 BgPool::BgPool(int workers)
 {
-    PRISM_CHECK(workers >= 0);
+    PRISM_CHECK(workers >= 1);
     auto &reg = stats::StatsRegistry::global();
     reg_tasks_ = &reg.counter("prism.bg.tasks", "ops");
     reg_task_faults_ = &reg.counter("prism.bg.task_faults", "ops");
@@ -96,9 +96,9 @@ BgPool::shutdown()
     for (auto &t : threads_)
         t.join();
     threads_.clear();
-    // Tasks queued after the last worker exited (or with no workers ever
-    // started) still run, on this thread, so submitters' completion
-    // bookkeeping (pending flags, parallelFor counters) settles.
+    // Tasks queued after the last worker exited still run, on this
+    // thread, so submitters' completion bookkeeping (pending flags,
+    // parallelFor counters) settles.
     while (true) {
         Task task;
         {
@@ -118,14 +118,13 @@ BgPool::submit(int source, std::function<void()> fn)
     Task task{std::move(fn), source, nowNs()};
     {
         std::lock_guard<prof::TimedMutex> lock(mu_);
-        if (!threads_.empty() && !stop_) {
+        if (!stop_) {
             pushLocked(std::move(task));
             cv_.notify_one();
             return;
         }
     }
-    // No workers (bg_workers=0 config) or already shut down: degrade to
-    // synchronous execution so callers never lose work.
+    // Already shut down: run it here so callers never lose work.
     runTask(task, nullptr);
 }
 
@@ -136,13 +135,13 @@ BgPool::runTask(Task &task, stats::Counter *busy_ns)
     // instead of running. It must never be dropped — upstream
     // dispatchers hold one-outstanding slots keyed on the task
     // eventually running, so a dropped task would wedge reclaim/GC
-    // forever. The inline path (no workers, or shutdown drain) has no
-    // queue to defer to and runs the task regardless. The original
-    // enqueue stamp rides along so queue_delay_ns reflects total wait.
+    // forever. The inline path (after shutdown) has no queue to defer
+    // to and runs the task regardless. The original enqueue stamp rides
+    // along so queue_delay_ns reflects total wait.
     if (PRISM_FAULT_POINT("bg.task")) {
         reg_task_faults_->inc();
         std::lock_guard<prof::TimedMutex> lock(mu_);
-        if (!threads_.empty() && !stop_) {
+        if (!stop_) {
             pushLocked(std::move(task));
             cv_.notify_one();
             return;

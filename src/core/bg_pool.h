@@ -21,15 +21,14 @@
  * histogram — the fairness invariant is measured, not asserted.
  *
  * Two entry points:
- *  - submit(): fire-and-forget (reclaim passes, GC passes). With zero
- *    workers the task runs inline on the caller, which degenerates to
- *    the old single-threaded background behaviour.
+ *  - submit(): fire-and-forget (reclaim passes, GC passes, async
+ *    scans). After shutdown() the task runs inline on the caller.
  *  - parallelFor(): fan an index range out over the workers and block
  *    until every index ran. The caller *helps* (it claims indices like
  *    any worker), so the call makes progress even when every pool
  *    worker is busy — including when it is issued from inside a pool
- *    task (the GC fallback inside a reclamation pass does exactly
- *    that). This makes parallelFor deadlock-free by construction.
+ *    task (the GC round inside a reclamation pass does exactly that).
+ *    This makes parallelFor deadlock-free by construction.
  *
  * Observability (docs/OBSERVABILITY.md): prism.bg.tasks,
  * prism.bg.task_ns, prism.bg.queue_depth, prism.bg.queue_delay_ns, and
@@ -55,7 +54,7 @@ namespace prism::core {
 /** Fixed-size worker pool for background reclamation and GC tasks. */
 class BgPool {
   public:
-    /** @param workers thread count; 0 = run every task inline. */
+    /** @param workers thread count, at least 1. */
     explicit BgPool(int workers);
     ~BgPool();
 
@@ -70,9 +69,9 @@ class BgPool {
     int allocSource();
 
     /**
-     * Enqueue @p fn for a worker under @p source's sub-queue. Runs
-     * inline when the pool has no workers. Tasks must not assume any
-     * ordering against tasks from other sources.
+     * Enqueue @p fn for a worker under @p source's sub-queue (inline
+     * once the pool is shut down). Tasks must not assume any ordering
+     * against tasks from other sources.
      */
     void submit(std::function<void()> fn) { submit(0, std::move(fn)); }
     void submit(int source, std::function<void()> fn);
@@ -95,8 +94,6 @@ class BgPool {
      * state the tasks reference.
      */
     void shutdown();
-
-    int workers() const { return static_cast<int>(threads_.size()); }
 
     /** Tasks executed so far (queued + inline), for tests. */
     uint64_t tasksRun() const {

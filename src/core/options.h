@@ -2,9 +2,12 @@
  * @file
  * Configuration for a store opened through core::ShardRouter (the only
  * public handle): every shard gets the same options, and the router
- * alone applies the process-wide ones (observability, fault injection).
- * The sampling profiler has no option: $PRISM_PROF_HZ arms it at open
- * (common/prof.h).
+ * alone applies the process-wide ones (the ops endpoint). Process-wide
+ * state with a channel of its own has no option: $PRISM_PROF_HZ arms the
+ * profiler (common/prof.h), $PRISM_FAULTS or FaultRegistry::armSchedule
+ * the fault schedule (common/fault.h), TraceRegistry::setEnabled the
+ * tracer (common/trace.h), and $PRISM_IO_DIR places the real-file
+ * backends' files (io/io_backend.h).
  *
  * Defaults reflect the paper's setup scaled to a single-machine
  * simulation: 512 KB Value Storage chunks, queue depth 64 and a 2Q SVC.
@@ -85,12 +88,6 @@ struct PrismOptions {
      * unaffected — the store never consults this.
      */
     std::string io_backend;
-    /**
-     * Directory for the real-file backends' backing files (one
-     * .img per device). Empty uses $PRISM_IO_DIR, then /tmp/prism-io.
-     * Point it at a tmpfs (e.g. /dev/shm) to keep CI hermetic.
-     */
-    std::string io_backend_dir;
     ///@}
 
     /** @name Sharding (src/core/shard_router.h) */
@@ -106,7 +103,7 @@ struct PrismOptions {
     int shards = 0;
     /**
      * Preferred NUMA node for this instance's background threads
-     * (reclaimer, GC scheduler, VS completion threads). -1 = unpinned.
+     * (background scheduler, VS completion threads). -1 = unpinned.
      * The shard router assigns nodes round-robin across shards on
      * multi-node machines (common/numa.h); single-node machines always
      * run unpinned.
@@ -120,24 +117,14 @@ struct PrismOptions {
      * Worker threads shared by PWB reclamation and Value Storage GC.
      * Independent PWBs reclaim concurrently and each SSD runs its GC
      * pass as its own task, so sizing this near min(#client threads,
-     * #SSDs) keeps the SSD array busy. 0 runs all background work
-     * inline on the dispatcher threads (the pre-pool serial behaviour,
-     * kept for ablation).
+     * #SSDs) keeps the SSD array busy. At least 1; the router rejects
+     * 0.
      */
     int bg_workers = 4;
     ///@}
 
     /** @name Observability (docs/OBSERVABILITY.md) */
     ///@{
-    /**
-     * Start with cross-layer tracing (src/common/trace.h) recording.
-     * The tracer is process-wide; this just flips it on at open so a
-     * whole run is captured without touching TraceRegistry directly.
-     * Tracing can also be toggled at runtime (prism_cli `trace on`);
-     * slow-op capture, ring size and keep count are TraceRegistry
-     * setters (prism_cli `trace slow <us>`).
-     */
-    bool trace_enabled = false;
     /**
      * HTTP ops endpoint (common/obs_server.h): TCP port for /metrics,
      * /healthz, /readyz, /slowops and /trace on 127.0.0.1.
@@ -147,19 +134,6 @@ struct PrismOptions {
      * runs one listener for all its shards.
      */
     int obs_port = -1;
-    ///@}
-
-    /** @name Fault injection (docs/FAULTS.md) */
-    ///@{
-    /**
-     * Fault schedule armed at open, in PRISM_FAULTS syntax
-     * (`site=trigger[,payload:V][,oneshot];...`, see common/fault.h).
-     * The registry is process-wide, so this *adds to* whatever the
-     * environment or an earlier store armed; empty arms nothing.
-     * Tests and the torture harness use it to script failures without
-     * touching the environment.
-     */
-    std::string fault_spec;
     ///@}
 };
 

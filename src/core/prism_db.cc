@@ -53,23 +53,16 @@ constexpr double kReclaimForceUtilization = 0.90;
 constexpr int kReclaimPipelineDepth = 4;
 
 /**
- * Background reclaimer safety-net poll. The hot path is edge-triggered —
- * a put whose ring crosses the watermark notifies the reclaimer directly
- * (Pwb::armReclaimHint) — so this poll only bounds staleness for the
- * re-dispatch gate and epoch advancement.
+ * Background loop cadence. Reclamation is edge-triggered — a put whose
+ * ring crosses the watermark, or that stalls, wakes the loop directly
+ * (Pwb::armReclaimHint) — so the poll only finds GC work and bounds
+ * staleness for the re-dispatch gate and epoch advancement. It is
+ * kGcBusyPoll while GC work is being found, doubling per idle wake up
+ * to the kReclaimerPoll safety net: an idle shard wakes ~100 times a
+ * second, not 5000.
  */
+constexpr std::chrono::microseconds kGcBusyPoll{200};
 constexpr std::chrono::microseconds kReclaimerPoll{10000};
-
-/** Aim @p r at [offset, offset + len) of its SSD, read into @p buf. */
-void
-aimRead(ReadBatcher::Read &r, std::vector<uint8_t> &buf, uint64_t offset,
-        uint64_t len)
-{
-    buf.resize(len);
-    r.req.offset = offset;
-    r.req.length = static_cast<uint32_t>(len);
-    r.req.buf = buf.data();
-}
 
 /**
  * The record at @p rec (@p avail bytes readable) parses, belongs to HSIT
@@ -84,49 +77,6 @@ checkedRecord(const uint8_t *rec, size_t avail, uint64_t h)
         hdr->backward != h || !recordCrcOk(*hdr, hdr + 1))
         return nullptr;
     return hdr;
-}
-
-/** One read of a scan or multiGet; its issuer waits for all (readAll). */
-struct GroupRead : ReadBatcher::Read {
-    uint32_t ssd = 0;
-    std::vector<uint8_t> buf;
-    Status status;
-    std::atomic<uint32_t> *pending = nullptr;
-
-    void
-    onRead(const Status &st) override
-    {
-        status = st;
-        // The issuer may free this read as soon as the count hits zero.
-        std::atomic<uint32_t> *p = pending;
-        if (p->fetch_sub(1, std::memory_order_acq_rel) == 1)
-            p->notify_all();
-    }
-};
-
-/**
- * Enqueue @p reads, one chain per Value Storage, and block until every
- * one has completed. Returns the first error.
- */
-template <typename R>
-Status
-readAll(const std::vector<ValueStorage *> &vss,
-        const std::vector<std::unique_ptr<R>> &reads)
-{
-    std::atomic<uint32_t> pending{static_cast<uint32_t>(reads.size())};
-    std::vector<std::vector<ReadBatcher::Read *>> chains(vss.size());
-    for (const auto &r : reads) {
-        r->pending = &pending;
-        chains[r->ssd].push_back(r.get());
-    }
-    for (size_t i = 0; i < vss.size(); i++)
-        vss[i]->enqueueReads(chains[i]);
-    for (uint32_t n; (n = pending.load(std::memory_order_acquire)) != 0;)
-        pending.wait(n, std::memory_order_acquire);
-    for (const auto &r : reads)
-        if (!r->status.isOk())
-            return r->status;
-    return Status::ok();
 }
 
 }  // namespace
@@ -149,7 +99,6 @@ PrismDb::PrismDb(const PrismOptions &opts,
     reg_.user_bytes_written = &reg.counter("prism.user_bytes_written",
                                            "bytes");
     reg_.pwb_hits = &reg.counter("prism.get.pwb_hits", "ops");
-    reg_.svc_hits = &reg.counter("prism.get.svc_hits", "ops");
     reg_.vs_reads = &reg.counter("prism.get.vs_reads", "ops");
     reg_.pwb_stalls = &reg.counter("prism.pwb.stalls", "ops");
     reg_.reclaim_passes = &reg.counter("prism.pwb.reclaim_passes", "ops");
@@ -199,29 +148,29 @@ PrismDb::PrismDb(const PrismOptions &opts,
     gc_scheduled_.reset(new std::atomic<bool>[value_storages_.size()]);
     for (size_t i = 0; i < value_storages_.size(); i++)
         gc_scheduled_[i].store(false, std::memory_order_relaxed);
-    reclaimer_ = std::thread([this] { reclaimerLoop(); });
-    gc_thread_ = std::thread([this] { gcLoop(); });
+    bg_thread_ = std::thread([this] { backgroundLoop(); });
 }
 
 PrismDb::~PrismDb()
 {
     // Wait out in-flight async operations first: their completion paths
-    // (VS completion threads, bg-pool scan tasks) touch the SVC, HSIT,
-    // epochs and the pool, all of which are torn down below.
+    // (VS completion threads) touch the SVC, HSIT, epochs and the pool,
+    // all of which are torn down below.
     while (async_inflight_.load(std::memory_order_acquire) != 0)
         std::this_thread::yield();
-    stop_.store(true, std::memory_order_release);
-    reclaim_cv_.notify_all();
-    gc_cv_.notify_all();
-    reclaimer_.join();
-    gc_thread_.join();
-    // Dispatchers are gone; before tearing down any state the reclaim/
+    {
+        std::lock_guard<std::mutex> lock(bg_mu_);
+        bg_stop_ = true;
+    }
+    bg_cv_.notify_all();
+    bg_thread_.join();
+    // The dispatcher is gone; before tearing down any state the reclaim/
     // GC tasks reference, make sure none of ours remain. The shared pool
     // must keep serving the other shards, so wait out this shard's own
     // tasks instead of shutting it down — every dispatch is gated
     // one-outstanding (per-PWB reclaim slot, per-VS gc flag) and counted
-    // in bg_inflight_, and the dispatchers above are joined, so the
-    // count can only fall.
+    // in bg_inflight_, and the dispatcher above is joined, so the count
+    // can only fall.
     while (bg_inflight_.load(std::memory_order_acquire) != 0)
         std::this_thread::yield();
     // Destroy the SVC (its manager thread uses hsit_/value_storages_),
@@ -402,13 +351,13 @@ PrismDb::put(uint64_t key, std::string_view value)
                     trace::spanAt(PRISM_TRACE_NID("pwb.stall"),
                                   stall_t0, waited);
                 }
-                // Edge-triggered reclaimer wakeup: the reclaimer sleeps
-                // on a long safety-net poll and relies on this notify
-                // when a ring crosses the watermark (one syscall per
-                // crossing, not per append).
+                // Edge-triggered background wakeup: the loop sleeps on
+                // a safety-net poll and relies on this notify when a
+                // ring crosses the watermark (one syscall per crossing,
+                // not per append).
                 if (pwb->utilization() >= kReclaimWatermark &&
                     pwb->armReclaimHint())
-                    reclaim_cv_.notify_all();
+                    wakeBackground();
                 return Status::ok();
             }
         }
@@ -417,12 +366,11 @@ PrismDb::put(uint64_t key, std::string_view value)
         reg_.pwb_stalls->inc();
         if (stall_t0 == 0)
             stall_t0 = nowNs();
-        // Wake the reclaimer immediately instead of waiting out its poll
-        // interval, and hand this thread's PWB straight to the worker
-        // pool (no-op if a pass for it is already queued or running).
-        if (bg_pool_->workers() > 0)
-            dispatchReclaim(pwbForThisThread());
-        reclaim_cv_.notify_all();
+        // Wake the background loop instead of waiting out its poll, and
+        // hand this thread's PWB straight to the worker pool (no-op if a
+        // pass for it is already queued or running).
+        dispatchReclaim(pwbForThisThread());
+        wakeBackground();
         epochs_.tryAdvance();
         std::this_thread::yield();
     }
@@ -512,7 +460,10 @@ struct PrismDb::AsyncGetCtx final : ReadBatcher::Read {
           lookup_attempts(attempts)
     {
         db->async_inflight_.fetch_add(1, std::memory_order_acq_rel);
-        aimRead(*this, buf, a.offset(), a.recordBytes());
+        buf.resize(a.recordBytes());
+        req.offset = a.offset();
+        req.length = static_cast<uint32_t>(a.recordBytes());
+        req.buf = buf.data();
     }
 
     ~AsyncGetCtx() override
@@ -560,26 +511,6 @@ PrismDb::asyncGet(uint64_t key, AsyncCallback cb)
     return OpFuture(std::move(st));
 }
 
-OpFuture
-PrismDb::asyncScan(uint64_t start_key, size_t count, AsyncCallback cb)
-{
-    auto st = std::make_shared<AsyncOpState>();
-    st->callback = std::move(cb);
-    if (bg_pool_->workers() == 0) {
-        // No pool (serial ablation): degenerate to a blocking scan.
-        st->complete(scan(start_key, count, &st->rows));
-        return OpFuture(std::move(st));
-    }
-    async_inflight_.fetch_add(1, std::memory_order_acq_rel);
-    bg_inflight_.fetch_add(1, std::memory_order_acq_rel);
-    bg_pool_->submit(bg_source_, [this, st, start_key, count] {
-        st->complete(scan(start_key, count, &st->rows));
-        async_inflight_.fetch_sub(1, std::memory_order_acq_rel);
-        bg_inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    });
-    return OpFuture(std::move(st));
-}
-
 void
 PrismDb::startAsyncGet(const std::shared_ptr<AsyncOpState> &st,
                        std::string *out, uint64_t key, int lookup_attempts)
@@ -595,7 +526,7 @@ PrismDb::startAsyncGet(const std::shared_ptr<AsyncOpState> &st,
         if (addr.isNull())
             s = Status::notFound();
         else if (svc_->lookup(h, addr.raw(), out))
-            reg_.svc_hits->inc();
+            s = Status::ok();  // an SVC hit
         else if (addr.isPwb())
             s = readPwb(h, addr, out);  // NVM: nothing to overlap
         else if (addr.ssdId() >= value_storages_.size())
@@ -692,7 +623,6 @@ PrismDb::scan(uint64_t start_key, size_t count,
         out->emplace_back(key, std::string());
         std::string *slot = &out->back().second;
         if (svc_->lookup(h, addr.raw(), slot)) {
-            reg_.svc_hits->inc();
             noted.emplace_back(key, h);
             continue;
         }
@@ -743,7 +673,7 @@ PrismDb::scan(uint64_t start_key, size_t count,
             spans.push_back(std::move(s));
         }
         for (auto &s : spans)
-            aimRead(*s, s->buf, s->start, s->end - s->start);
+            s->aim(s->start, s->end - s->start);
         const Status io_st = readAll(vs_ptrs_, spans);
         if (!io_st.isOk())
             return io_st;
@@ -807,7 +737,6 @@ PrismDb::multiGet(const std::vector<uint64_t> &keys,
             continue;
         std::string value;
         if (svc_->lookup(*h, addr.raw(), &value)) {
-            reg_.svc_hits->inc();
             (*out)[i] = std::move(value);
             continue;
         }
@@ -825,7 +754,7 @@ PrismDb::multiGet(const std::vector<uint64_t> &keys,
         req->h = *h;
         req->addr = addr;
         req->ssd = addr.ssdId();
-        aimRead(*req, req->buf, addr.offset(), addr.recordBytes());
+        req->aim(addr.offset(), addr.recordBytes());
         vs_reqs.push_back(std::move(req));
     }
 
@@ -874,7 +803,7 @@ PrismDb::reclaimPwb(Pwb *pwb, bool force)
     uint64_t new_head =
         pwb->collectFrom(start, pwb->usedBytes(), refs);
     // Record how far this pass scanned *before* the thrifty pull-back
-    // below retreats new_head: the reclaimer loop's re-dispatch gate
+    // below retreats new_head: the background loop's re-dispatch gate
     // compares the ring tail against this, so a deferred straggler does
     // not read as "unscanned backlog" and trigger a dispatch storm.
     pwb->setLastScanTail(new_head);
@@ -971,7 +900,7 @@ PrismDb::reclaimPwb(Pwb *pwb, bool force)
                 // No free chunk anywhere: force a concurrent GC round
                 // and let the epoch machinery release recycled chunks,
                 // then retry.
-                runGcRoundParallel();
+                runGcRound();
                 epochs_.tryAdvance();
                 std::this_thread::yield();
                 a = writer.add(live[i].h, live[i].key, live[i].payload,
@@ -1087,30 +1016,39 @@ PrismDb::dispatchGc(size_t vs_id)
     });
 }
 
-void
-PrismDb::runGcRoundParallel()
+size_t
+PrismDb::runGcRound()
 {
-    // The caller helps execute the per-VS passes (BgPool::parallelFor),
-    // so this is safe to invoke from inside a pool task — the GC
-    // fallback in reclaimPwb does. Contended Value Storages are skipped
-    // by runGcPass's try-lock, never waited on.
+    // Contended Value Storages are skipped by runGcPass's try-lock,
+    // never waited on.
     PRISM_TRACE_SPAN("vs.gc_round");
-    bg_pool_->parallelFor(bg_source_, value_storages_.size(),
-                          [this](size_t i) {
-        value_storages_[i]->runGcPass(*hsit_, svc_.get());
+    std::vector<size_t> needy;
+    for (size_t i = 0; i < value_storages_.size(); i++)
+        if (value_storages_[i]->needsGc())
+            needy.push_back(i);
+    std::atomic<size_t> reclaimed{0};
+    bg_pool_->parallelFor(bg_source_, needy.size(), [&](size_t i) {
+        reclaimed.fetch_add(
+            value_storages_[needy[i]]->runGcPass(*hsit_, svc_.get()),
+            std::memory_order_relaxed);
     });
+    return reclaimed.load(std::memory_order_relaxed);
 }
 
 void
-PrismDb::reclaimerLoop()
+PrismDb::backgroundLoop()
 {
-    trace::TraceRegistry::global().setThreadName("prism-reclaimer");
+    trace::TraceRegistry::global().setThreadName("prism-bg");
     numa::pinThreadToNode(opts_.numa_node);
-    std::unique_lock<std::mutex> lock(reclaim_mu_);
-    while (!stop_.load(std::memory_order_acquire)) {
-        reclaim_cv_.wait_for(lock, kReclaimerPoll);
-        if (stop_.load(std::memory_order_acquire))
+    std::chrono::microseconds poll = kGcBusyPoll;
+    std::unique_lock<std::mutex> lock(bg_mu_);
+    while (true) {
+        bg_cv_.wait_for(lock, poll, [this] {
+            return bg_wake_ || bg_stop_;
+        });
+        if (bg_stop_)
             return;
+        bg_wake_ = false;
         lock.unlock();
         for (int tid = 0; tid < ThreadId::kMaxThreads; tid++) {
             Pwb *pwb = pwbs_[tid].load(std::memory_order_acquire);
@@ -1124,7 +1062,7 @@ PrismDb::reclaimerLoop()
                 continue;
             // Re-dispatch gate: a thrifty pass leaves the ring over the
             // watermark on purpose (deferred stragglers), so utilization
-            // alone would re-dispatch every poll and each pass would
+            // alone would re-dispatch every wake and each pass would
             // re-scan the same stale backlog. Only dispatch once at
             // least a chunk of fresh appends has landed past the last
             // scan — unless pressure forces a full pass anyway. Stalled
@@ -1134,48 +1072,27 @@ PrismDb::reclaimerLoop()
                 util >= kReclaimForceUtilization)
                 dispatchReclaim(pwb);
         }
+        bool gc_found = false;
+        for (size_t i = 0; i < value_storages_.size(); i++) {
+            if (value_storages_[i]->needsGc()) {
+                dispatchGc(i);
+                gc_found = true;
+            }
+        }
         epochs_.tryAdvance();
+        poll = gc_found ? kGcBusyPoll : std::min(poll * 2, kReclaimerPoll);
         lock.lock();
     }
 }
 
 void
-PrismDb::gcLoop()
+PrismDb::wakeBackground()
 {
-    trace::TraceRegistry::global().setThreadName("prism-gc");
-    numa::pinThreadToNode(opts_.numa_node);
-    // Adaptive cadence: 200 us while GC work is being found, backing
-    // off 2x per idle round to 20 ms. A store with no garbage pays ~50
-    // wakeups/s instead of 5000 — the difference is measurable when a
-    // shard router runs one of these loops per shard on a small box.
-    constexpr uint64_t kBusyPollNs = 200 * 1000;
-    constexpr uint64_t kIdlePollNs = 20000 * 1000;
-    uint64_t poll_ns = kBusyPollNs;
-    while (!stop_.load(std::memory_order_acquire)) {
-        bool dispatched = false;
-        for (size_t i = 0; i < value_storages_.size(); i++) {
-            if (stop_.load(std::memory_order_acquire))
-                return;
-            // A dropped-out device cannot complete survivor rewrites;
-            // runGcPass would skip it anyway (prism.vs.degraded), so
-            // don't burn pool slots on it while it is sick.
-            if (value_storages_[i]->needsGc() &&
-                value_storages_[i]->device().healthy()) {
-                dispatchGc(i);
-                dispatched = true;
-            }
-        }
-        epochs_.tryAdvance();
-        poll_ns = dispatched ? kBusyPollNs
-                             : std::min(poll_ns * 2, kIdlePollNs);
-        // Scheduling wait, not delayFor: simulated-time delays end in a
-        // calibration spin that is pure waste here, and a condvar makes
-        // shutdown interruptible at the longer idle cadence.
-        std::unique_lock<std::mutex> lock(gc_mu_);
-        gc_cv_.wait_for(lock, std::chrono::nanoseconds(poll_ns), [this] {
-            return stop_.load(std::memory_order_acquire);
-        });
+    {
+        std::lock_guard<std::mutex> lock(bg_mu_);
+        bg_wake_ = true;
     }
+    bg_cv_.notify_one();
 }
 
 void
@@ -1201,30 +1118,14 @@ PrismDb::flushAll()
 void
 PrismDb::forceGc()
 {
-    // Rounds of one concurrent pass per over-watermark Value Storage;
-    // freed chunks only return to the free lists after the epoch drain,
+    // Freed chunks only return to the free lists after the epoch drain,
     // so progress is re-evaluated between rounds.
     PRISM_TRACE_SPAN("prism.force_gc");
     for (int round = 0; round < 1024; round++) {
-        std::vector<size_t> needy;
-        for (size_t i = 0; i < value_storages_.size(); i++) {
-            // Degrade gracefully: an over-watermark but dropped-out
-            // device is left alone rather than spun on forever.
-            if (value_storages_[i]->needsGc() &&
-                value_storages_[i]->device().healthy())
-                needy.push_back(i);
-        }
-        if (needy.empty())
-            return;
-        std::atomic<size_t> reclaimed{0};
-        bg_pool_->parallelFor(bg_source_, needy.size(), [&](size_t i) {
-            reclaimed.fetch_add(
-                value_storages_[needy[i]]->runGcPass(*hsit_, svc_.get()),
-                std::memory_order_relaxed);
-        });
+        const size_t reclaimed = runGcRound();
         epochs_.drain();
-        if (reclaimed.load(std::memory_order_relaxed) == 0)
-            return;  // nothing left to squeeze out of any victim
+        if (reclaimed == 0)
+            return;  // nothing needs GC, or nothing left to squeeze out
     }
 }
 

@@ -25,9 +25,9 @@
  *
  * Background threads: reclamation passes (one per over-watermark PWB,
  * concurrent across PWBs) and per-Value-Storage GC passes (concurrent
- * across SSDs) run on the router's shared BgPool (§5.2), fed by two
- * light dispatcher threads (reclaimer, GC), plus the SVC manager and
- * one completion thread per Value Storage.
+ * across SSDs) run on the router's shared BgPool (§5.2), fed by one
+ * light scheduler thread per shard (backgroundLoop), plus the SVC
+ * manager and one completion thread per Value Storage.
  *
  * A shard has no process-wide side effects: the fault registry, tracer,
  * profiler, crash handlers and HTTP ops server are armed once, by the
@@ -85,8 +85,8 @@ class PrismDb {
      *                this shard registers its own round-robin source
      *                (core/bg_pool.h). The pool must outlive the shard;
      *                the destructor quiesces this shard's own tasks
-     *                (reclaim slots, GC flags, async scans) but never
-     *                shuts the pool down.
+     *                (reclaim slots, GC flags) but never shuts the pool
+     *                down.
      */
     PrismDb(const PrismOptions &opts,
             std::shared_ptr<pmem::PmemRegion> region,
@@ -166,17 +166,10 @@ class PrismDb {
     OpFuture asyncDel(uint64_t key, AsyncCallback cb = nullptr);
 
     /**
-     * Asynchronous range scan: runs on the background pool (a scan is a
-     * multi-batch pipeline, not a single I/O), completing the future
-     * with the rows when done.
-     */
-    OpFuture asyncScan(uint64_t start_key, size_t count,
-                       AsyncCallback cb = nullptr);
-
-    /**
      * Operations that will complete off the caller's thread and have
      * not yet: gets (blocking or async) with a Value Storage read in
-     * flight, plus async scans. The destructor waits for zero.
+     * flight. The destructor waits for zero. (Async scans run on the
+     * router, ShardRouter::asyncScan.)
      */
     uint64_t asyncInflight() const {
         return async_inflight_.load(std::memory_order_acquire);
@@ -193,7 +186,10 @@ class PrismDb {
      */
     void flushAll();
 
-    /** Run GC passes until no Value Storage is above its watermark. */
+    /**
+     * Run GC rounds (runGcRound), each followed by an epoch drain, until
+     * no Value Storage is above its watermark or a round frees nothing.
+     */
     void forceGc();
 
     /** @name Introspection (router aggregation, tests) */
@@ -244,8 +240,16 @@ class PrismDb {
     void onAsyncVsRead(AsyncGetCtx *ctx, const Status &st);
     ///@}
 
-    void reclaimerLoop();
-    void gcLoop();
+    /**
+     * The shard's one background scheduler thread. It wakes on a put's
+     * watermark hint or a stall, or else when the earlier of the GC
+     * back-off and the reclaim safety-net poll runs out; every wake
+     * dispatches reclamation (behind its re-dispatch gate) and GC passes
+     * to the pool, then advances the epoch.
+     */
+    void backgroundLoop();
+    /** Wake backgroundLoop now: a PWB crossed its watermark or stalled. */
+    void wakeBackground();
     /**
      * One reclamation pass over @p pwb (§5.2, Fig. 4), pipelined: up to
      * kReclaimPipelineDepth chunk writes stay in flight, each chunk
@@ -259,15 +263,19 @@ class PrismDb {
     void reclaimPwb(Pwb *pwb, bool force = false);
     /**
      * Queue a reclamation pass for @p pwb on the pool (at most one
-     * outstanding dispatch per PWB). Called by the reclaimer loop and
+     * outstanding dispatch per PWB). Called by the background loop and
      * directly by a stalling put(), so a full PWB never waits out a
      * poll interval.
      */
     void dispatchReclaim(Pwb *pwb);
     /** Queue a GC pass for Value Storage @p vs_id (one in flight each). */
     void dispatchGc(size_t vs_id);
-    /** One concurrent GC pass over every Value Storage (pool-assisted). */
-    void runGcRoundParallel();
+    /**
+     * One blocking GC round: a concurrent pass over every Value Storage
+     * that needsGc(), the caller helping (BgPool::parallelFor), so it is
+     * safe inside a pool task. Returns the chunks reclaimed.
+     */
+    size_t runGcRound();
     void runRecovery();
     void clearOldLocation(uint64_t hsit_idx, ValueAddr old_addr);
 
@@ -298,7 +306,6 @@ class PrismDb {
     std::vector<std::unique_ptr<Pwb>> pwb_owner_;
     std::atomic<Pwb *> pwbs_[ThreadId::kMaxThreads] = {};
 
-    std::atomic<bool> stop_{false};
     /** The router's worker pool for reclamation and GC tasks (§5.2). */
     std::shared_ptr<BgPool> bg_pool_;
     /** This shard's round-robin source id in bg_pool_. */
@@ -306,14 +313,14 @@ class PrismDb {
     /** Tasks this shard has on the shared pool; the destructor waits
      *  them out. */
     std::atomic<uint64_t> bg_inflight_{0};
-    std::thread reclaimer_;
-    std::thread gc_thread_;
-    std::mutex reclaim_mu_;
-    std::condition_variable reclaim_cv_;
-    /** Interruptible sleep for gcLoop (plain scheduling wait — the
-     *  simulated-time delayFor would burn a spin tail per wakeup). */
-    std::mutex gc_mu_;
-    std::condition_variable gc_cv_;
+    /** backgroundLoop's interruptible sleep (a plain scheduling wait:
+     *  the simulated-time delayFor would burn a spin tail per wakeup)
+     *  and its thread, which the destructor joins before any teardown. */
+    std::mutex bg_mu_;
+    std::condition_variable bg_cv_;
+    bool bg_wake_ = false;  ///< under bg_mu_: wakeBackground() was called
+    bool bg_stop_ = false;  ///< under bg_mu_: the destructor runs
+    std::thread bg_thread_;
     /** One outstanding GC dispatch per Value Storage. */
     std::unique_ptr<std::atomic<bool>[]> gc_scheduled_;
 
@@ -325,7 +332,6 @@ class PrismDb {
         stats::Counter *scans;
         stats::Counter *user_bytes_written;
         stats::Counter *pwb_hits;
-        stats::Counter *svc_hits;
         stats::Counter *vs_reads;
         stats::Counter *pwb_stalls;
         stats::Counter *reclaim_passes;

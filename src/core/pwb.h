@@ -135,13 +135,13 @@ class Pwb {
 
     /**
      * Logical tail the last reclamation pass scanned up to (volatile;
-     * reset to head on re-attach). The reclaimer loop only re-dispatches
-     * a PWB once at least a chunk's worth of fresh appends has landed
-     * past this point — thrifty passes deliberately leave the ring over
-     * the watermark, and without this gate every poll would re-dispatch
-     * a pass that re-scans the same stale backlog. Forced passes
-     * (stalls, flushAll, utilization at the force threshold) bypass the
-     * gate.
+     * reset to head on re-attach). The shard's background loop only
+     * re-dispatches a PWB once at least a chunk's worth of fresh appends
+     * has landed past this point — thrifty passes deliberately leave the
+     * ring over the watermark, and without this gate every wake would
+     * re-dispatch a pass that re-scans the same stale backlog. Forced
+     * passes (stalls, flushAll, utilization at the force threshold)
+     * bypass the gate.
      */
     uint64_t lastScanTail() const {
         return reclaim_scan_tail_.load(std::memory_order_acquire);
@@ -160,9 +160,9 @@ class Pwb {
     prof::TimedMutex &passMutex() { return pass_mu_; }
 
     /**
-     * Edge-trigger for waking the reclaimer: the first append that sees
-     * utilization at/over the watermark arms it (returns true exactly
-     * once); the reclaimer loop re-arms it when it next scans this PWB,
+     * Edge-trigger for waking the background loop: the first append that
+     * sees utilization at/over the watermark arms it (returns true
+     * exactly once); the loop re-arms it when it next scans this PWB,
      * so a ring held over the watermark by fresh appends keeps
      * re-notifying without a put-path syscall per append.
      */
@@ -175,7 +175,7 @@ class Pwb {
 
     /**
      * Claim the single outstanding reclaim-dispatch slot for this PWB.
-     * Dispatchers (reclaimer loop, stalled puts) use it so the pool
+     * Dispatchers (the background loop, stalled puts) use it so the pool
      * queue never holds two tasks for one PWB.
      * @return true if the caller must submit the task (and later call
      *         releaseReclaimSlot()).

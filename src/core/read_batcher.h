@@ -4,11 +4,13 @@
  * record on the SSD reaches the device.
  *
  * Every such read — a blocking or async get that missed the SVC and the
- * PWB, a multiGet's or a scan's reads of one SSD, a retry — is a
- * ReadBatcher::Read that its issuer enqueues and leaves. The batcher
- * submits it, alone or coalesced with other issuers' reads, and the
- * device completion calls the Read's handler on the Value Storage
- * completion thread. enqueue() never waits for the device.
+ * PWB, a multiGet's or a scan's reads of one SSD, a GC pass's victim
+ * chunks, a retry — is a ReadBatcher::Read that its issuer enqueues and
+ * leaves. The batcher submits it, alone or coalesced with other issuers'
+ * reads, and the device completion calls the Read's handler on the Value
+ * Storage completion thread. enqueue() never waits for the device; an
+ * issuer that needs a group of reads before it can go on waits for them
+ * with readAll() below.
  *
  * Thread combining (TC, Prism's scheme) makes the queue an MCS list: an
  * issuer appends its read, or a chain of reads, with one atomic swap on
@@ -19,13 +21,14 @@
  * leader resolves each read's successor, or closes the queue at it,
  * before it submits the batch that holds it.
  *
- * What that means for batching: a batch holds a chain (a multiGet's or
- * a scan's reads of this SSD) plus whatever other issuers appended
- * before the leader reached the end of the queue. A lone read closes the
- * queue before its own submit, so an issuer that arrives during that
- * submit finds the queue empty and leads alone: concurrent blocking
- * gets, one read each, are submitted one by one (Fig. 11 measures a
- * combine ratio of 1.00). A lone issuer submits at once (latency).
+ * What that means for batching: a batch holds a chain (a multiGet's, a
+ * scan's or a GC pass's reads of this SSD) plus whatever other issuers
+ * appended before the leader reached the end of the queue. A lone read
+ * closes the queue before its own submit, so an issuer that arrives
+ * during that submit finds the queue empty and leads alone: concurrent
+ * blocking gets, one read each, are submitted one by one (Fig. 11
+ * measures a combine ratio of 1.00). A lone issuer submits at once
+ * (latency).
  *
  * The timeout-based alternative ("TA" in Fig. 11) and no combining are
  * the two other policies of the same queue, kept for the ablation
@@ -48,6 +51,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <thread>
@@ -156,5 +160,62 @@ class ReadBatcher {
     stats::Counter *reg_requests_;
     stats::Counter *reg_retries_;
 };
+
+/**
+ * One read of a group whose issuer needs them all before it can go on
+ * (readAll): a scan's or a multiGet's reads, or a GC pass's victim
+ * chunks.
+ */
+struct GroupRead : ReadBatcher::Read {
+    uint32_t ssd = 0;  ///< index of its queue in readAll's list
+    std::vector<uint8_t> buf;
+    Status status;
+    std::atomic<uint32_t> *pending = nullptr;
+
+    /** Aim the read at [offset, offset + len) of its SSD, into buf. */
+    void
+    aim(uint64_t offset, uint64_t len)
+    {
+        buf.resize(len);
+        req.offset = offset;
+        req.length = static_cast<uint32_t>(len);
+        req.buf = buf.data();
+    }
+
+    void
+    onRead(const Status &st) override
+    {
+        status = st;
+        // The issuer may free this read as soon as the count hits zero.
+        std::atomic<uint32_t> *p = pending;
+        if (p->fetch_sub(1, std::memory_order_acq_rel) == 1)
+            p->notify_all();
+    }
+};
+
+/**
+ * Enqueue @p reads, one chain per queue (a Value Storage: anything with
+ * enqueueReads), and block until every one has completed, its retries
+ * included. Returns the first error.
+ */
+template <typename Queues, typename R>
+Status
+readAll(const Queues &queues, const std::vector<std::unique_ptr<R>> &reads)
+{
+    std::atomic<uint32_t> pending{static_cast<uint32_t>(reads.size())};
+    std::vector<std::vector<ReadBatcher::Read *>> chains(queues.size());
+    for (const auto &r : reads) {
+        r->pending = &pending;
+        chains[r->ssd].push_back(r.get());
+    }
+    for (size_t i = 0; i < queues.size(); i++)
+        queues[i]->enqueueReads(chains[i]);
+    for (uint32_t n; (n = pending.load(std::memory_order_acquire)) != 0;)
+        pending.wait(n, std::memory_order_acquire);
+    for (const auto &r : reads)
+        if (!r->status.isOk())
+            return r->status;
+    return Status::ok();
+}
 
 }  // namespace prism::core

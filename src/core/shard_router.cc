@@ -58,23 +58,16 @@ ShardRouter::ShardRouter(const PrismOptions &opts,
 {
     const size_t n = backends.size();
     PRISM_CHECK(n >= 1 && isPow2(static_cast<int>(n)));
+    if (opts_.bg_workers < 1)
+        fatal("bg_workers must be at least 1, got %d", opts_.bg_workers);
     const uint64_t t0 = nowNs();
 
     // Process-wide wiring that shard construction (recovery) may
-    // already exercise. Options only ever raise process-wide state: a
-    // second store opened with defaults must not silently disarm a
-    // schedule, or disable a trace the CLI or another store turned on.
-    // Both fault schedules are no-ops when empty, so the disabled path
-    // stays a single relaxed load at every fault site (docs/FAULTS.md).
+    // already exercise. A store only ever raises process-wide state: a
+    // second store must not silently disarm a schedule. An empty
+    // $PRISM_FAULTS arms nothing, so the disabled path stays a single
+    // relaxed load at every fault site (docs/FAULTS.md).
     fault::FaultRegistry::global().armFromEnv();
-    if (!opts_.fault_spec.empty()) {
-        std::string err;
-        if (!fault::FaultRegistry::global().armSchedule(opts_.fault_spec,
-                                                        &err))
-            fatal("PrismOptions::fault_spec: %s", err.c_str());
-    }
-    if (opts_.trace_enabled)
-        trace::TraceRegistry::global().setEnabled(true);
     // Crash black-box (common/obs_server.h) when the environment asks
     // for postmortems. Harnesses that want them unconditionally
     // (prism_torture) call obs::installCrashHandlers directly.
@@ -450,14 +443,9 @@ ShardRouter::asyncDel(uint64_t key, AsyncCallback cb)
 OpFuture
 ShardRouter::asyncScan(uint64_t start_key, size_t count, AsyncCallback cb)
 {
-    if (shards_.size() == 1) {
-        reg_shard_ops_[0]->inc();
-        return shards_[0]->asyncScan(start_key, count, std::move(cb));
-    }
-    // Cross-shard: run the *merged* scan as one router-level task (a
-    // shard's asyncScan would only see its own keys); the destructor
-    // drains async_scan_inflight_. The merged scan counts its own
-    // per-shard fetches.
+    // One pool task runs scan(), which counts its own per-shard
+    // fetches (and merges the shards' runs when there are several); the
+    // destructor drains async_scan_inflight_.
     auto st = std::make_shared<AsyncOpState>();
     st->callback = std::move(cb);
     OpFuture f(st);

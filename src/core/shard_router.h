@@ -20,16 +20,17 @@
  *  - the process-wide stats registry, the only counter of every fact.
  *
  * Process-wide wiring: the router is the one owner of everything a
- * store arms beyond its shards — the fault registry (environment and
- * PrismOptions::fault_spec), the tracer (trace_enabled), the profiler
- * ($PRISM_PROF_HZ), the crash handlers ($PRISM_POSTMORTEM_DIR) and the
- * HTTP ops server (obs_port). Options only ever raise process-wide
- * state, and the destructor stops only what this router started.
- * Shards have no process-wide side effects.
+ * store arms beyond its shards — the fault registry ($PRISM_FAULTS),
+ * the profiler ($PRISM_PROF_HZ), the crash handlers
+ * ($PRISM_POSTMORTEM_DIR) and the HTTP ops server (obs_port). It only
+ * ever raises process-wide state, and the destructor stops only what
+ * this router started. Shards have no process-wide side effects.
+ * The tracer is switched by its owner (TraceRegistry::setEnabled,
+ * prism_cli `trace on`, a bench's --trace=), not by the store.
  *
  * Placement: on multi-node machines each shard is assigned a NUMA node
- * round-robin (common/numa.h) and its background threads (reclaimer,
- * GC scheduler, VS completion) are pinned there; single-node machines
+ * round-robin (common/numa.h) and its background threads (background
+ * scheduler, VS completion) are pinned there; single-node machines
  * run unpinned. The assignment is surfaced per shard as
  * prism.shard.<n>.node and the per-shard key count as
  * prism.shard.<n>.keys (published by publishOccupancy()), plus a
@@ -116,8 +117,9 @@ class ShardRouter {
      * Open (format=true) or recover (format=false, §5.5) an N-shard
      * store. N = backends.size(); must be a power of two. @p opts
      * applies to every shard (the router overrides opts.numa_node per
-     * shard on multi-node machines; opts.bg_workers sizes the one
-     * shared pool) and arms the process-wide wiring (file comment).
+     * shard on multi-node machines; opts.bg_workers, at least 1, sizes
+     * the one shared pool) and arms the process-wide wiring (file
+     * comment).
      */
     ShardRouter(const PrismOptions &opts,
                 std::vector<ShardBackends> backends, bool format);
@@ -172,8 +174,8 @@ class ShardRouter {
     OpFuture asyncGet(uint64_t key, AsyncCallback cb = nullptr);
     OpFuture asyncDel(uint64_t key, AsyncCallback cb = nullptr);
     /**
-     * Cross-shard async scan: runs the merged scan as one task on the
-     * shared pool (a scan is a multi-batch pipeline, not a single I/O).
+     * Async scan: runs scan() as one task on the shared pool, for any
+     * shard count (a scan is a multi-batch pipeline, not a single I/O).
      */
     OpFuture asyncScan(uint64_t start_key, size_t count,
                        AsyncCallback cb = nullptr);

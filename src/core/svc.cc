@@ -378,6 +378,10 @@ Svc::reorganizeChain(SvcEntry *evictee)
     // needed, §4.4), collect the members, and rewrite them sorted and
     // contiguous (appended to an open chunk) so the range becomes one
     // sequential read.
+    // The epoch guard keeps every chunk freed from here on from being
+    // recycled before the CASes below, so an address that still names a
+    // member's record at the check names it at the CAS too.
+    EpochGuard guard(epochs_);
     std::vector<SvcEntry *> chain;
     for (SvcEntry *e = evictee; e != nullptr; e = e->scan_prev)
         chain.push_back(e);
@@ -396,6 +400,12 @@ Svc::reorganizeChain(SvcEntry *evictee)
         // Only values that still live on SSD participate; a member whose
         // value moved back to the PWB is skipped.
         if (!addr.isVs())
+            continue;
+        // A member detached by a put or delete stays chained until the
+        // manager retires it. Its copy is older than the record, even
+        // when a recycled chunk put a newer record (of its key, or of a
+        // new key on its reused HSIT entry) back at the same address.
+        if (hsit_.svcLoad(e->hsit_idx) != e)
             continue;
         if (hsit_.entry(e->hsit_idx).primary.load(
                 std::memory_order_acquire) != addr.raw())

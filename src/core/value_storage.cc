@@ -1,6 +1,7 @@
 #include "core/value_storage.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "common/clock.h"
@@ -247,6 +248,10 @@ ValueStorage::isValid(uint64_t dev_offset) const
 bool
 ValueStorage::needsGc() const
 {
+    // A dropped-out device cannot take survivor rewrites: leave it alone
+    // while it is sick rather than spin on it.
+    if (!device_->healthy())
+        return false;
     size_t free_count = 0;
     {
         auto *self = const_cast<ValueStorage *>(this);
@@ -267,8 +272,8 @@ ValueStorage::runGcPass(Hsit &hsit, Svc *svc)
         return 0;
     if (!device_->healthy()) {
         // Skip-and-requeue: survivors are rewritten to this same device,
-        // so a dropout makes the pass futile. The dispatcher's next poll
-        // retries; meanwhile the store degrades to the healthy SSDs.
+        // so a dropout makes the pass futile. The background loop's next
+        // wake retries; meanwhile the store degrades to the healthy SSDs.
         reg_degraded_->inc();
         PRISM_TRACE_INSTANT("vs.gc_skip_degraded");
         return 0;
@@ -304,6 +309,21 @@ ValueStorage::runGcPass(Hsit &hsit, Svc *svc)
     if (victims.empty())
         return 0;
 
+    // Read every victim with live records as one chain on this SSD's
+    // read queue, which retries transient errors.
+    std::vector<std::unique_ptr<GroupRead>> reads;
+    for (const auto &v : victims) {
+        const uint32_t used = metas_[static_cast<size_t>(v.chunk)]
+                                  .used_bytes.load(std::memory_order_acquire);
+        if (v.live == 0 || used == 0)
+            continue;
+        reads.push_back(std::make_unique<GroupRead>());
+        reads.back()->aim(static_cast<uint64_t>(v.chunk) * chunk_bytes_,
+                          used);
+    }
+    const std::array<ValueStorage *, 1> queue{this};
+    (void)readAll(queue, reads);
+
     struct Survivor {
         uint64_t hsit_idx;
         uint64_t key;
@@ -311,25 +331,17 @@ ValueStorage::runGcPass(Hsit &hsit, Svc *svc)
         std::vector<uint8_t> payload;
     };
     std::vector<Survivor> survivors;
-    std::vector<uint8_t> chunk_buf(chunk_bytes_);
-
-    for (const auto &v : victims) {
-        auto &m = metas_[static_cast<size_t>(v.chunk)];
-        const uint32_t used = m.used_bytes.load(std::memory_order_acquire);
-        if (v.live == 0 || used == 0)
+    for (const auto &r : reads) {
+        // A victim whose read failed even after the queue's retries is
+        // left as-is: its live records keep it from being freed below,
+        // and a later pass retries it.
+        if (!r->status.isOk())
             continue;
-        const uint64_t base = static_cast<uint64_t>(v.chunk) * chunk_bytes_;
-        const Status read_st = device_->readSync(base, chunk_buf.data(),
-                                                 used);
-        if (!read_st.isOk()) {
-            // Transient victim-read failure: leave the chunk as-is; its
-            // live records keep it from being freed below and the next
-            // pass retries it.
-            reg_retries_->inc();
-            continue;
-        }
         // Parse the chunk's records; the first-unit bit decides liveness
         // — no key-index traversal (§5.2).
+        const std::vector<uint8_t> &chunk_buf = r->buf;
+        const uint64_t base = r->req.offset;
+        const uint64_t used = chunk_buf.size();
         uint64_t off = 0;
         while (off + sizeof(ValueRecordHeader) <= used) {
             const auto *hdr = reinterpret_cast<const ValueRecordHeader *>(

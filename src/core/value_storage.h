@@ -173,9 +173,9 @@ class ValueStorage {
 
     /**
      * Queue reads of this SSD (core/read_batcher.h): the one way a
-     * record read reaches the device. Returns at once; each read's
-     * onRead runs when it completes. GC's victim reads are the exception:
-     * a pass reads whole chunks synchronously (device().readSync).
+     * record or chunk read reaches the device, GC's victim reads
+     * included. Returns at once; each read's onRead runs when it
+     * completes.
      */
     void
     enqueueReads(std::span<ReadBatcher::Read *const> reads)
@@ -185,12 +185,15 @@ class ValueStorage {
 
     /** @name Garbage collection (§5.2) */
     ///@{
+    /** Over the GC watermark, on a healthy device. */
     bool needsGc() const;
 
     /**
      * One greedy GC pass: pick the sealed chunks with the fewest live
-     * units, append their survivors to the open chunk of this same
-     * Value Storage, re-point the HSIT, recycle the victims.
+     * units, read them through this SSD's read queue, append their
+     * survivors to the open chunk of this same Value Storage, re-point
+     * the HSIT, recycle the victims. A victim whose read fails after
+     * the queue's retries stays for a later pass.
      * @param svc when non-null, cached copies of moved values are
      *        re-bound to their new address so they keep serving hits.
      * @return number of chunks reclaimed.
@@ -254,7 +257,7 @@ class ValueStorage {
     stats::Counter *reg_gc_reclaimed_chunks_;
     stats::LatencyStat *reg_gc_pass_ns_;
     stats::LatencyStat *reg_sealed_bytes_;  ///< used bytes per sealed chunk
-    stats::Counter *reg_retries_;   ///< victim reads / survivor rewrites
+    stats::Counter *reg_retries_;   ///< survivor rewrites to retry
     stats::Counter *reg_degraded_;  ///< passes skipped on a sick device
 };
 

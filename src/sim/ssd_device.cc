@@ -413,10 +413,17 @@ void
 SsdDevice::loadFrom(const std::vector<uint8_t> &image)
 {
     PRISM_CHECK(image.size() <= capacity_);
-    constexpr uint64_t kStep = 1ull << 30;
-    for (uint64_t off = 0; off < image.size(); off += kStep) {
-        copyIn(off, image.data() + off, static_cast<uint32_t>(
-            std::min(kStep, image.size() - off)));
+    // Page by page, so the copy stays as sparse as the image: an
+    // all-zero page is left unallocated (a never-written page already
+    // reads back as zero) unless an older one must be overwritten.
+    for (uint64_t off = 0; off < image.size(); off += kPageSize) {
+        const uint8_t *src = image.data() + off;
+        const auto n =
+            static_cast<uint32_t>(std::min(kPageSize, image.size() - off));
+        if (pageFor(off / kPageSize, false) == nullptr &&
+            std::all_of(src, src + n, [](uint8_t b) { return b == 0; }))
+            continue;
+        copyIn(off, src, n);
     }
 }
 

