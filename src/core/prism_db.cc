@@ -55,14 +55,17 @@ constexpr int kReclaimPipelineDepth = 4;
 /**
  * Background loop cadence. Reclamation is edge-triggered — a put whose
  * ring crosses the watermark, or that stalls, wakes the loop directly
- * (Pwb::armReclaimHint) — so the poll only finds GC work and bounds
- * staleness for the re-dispatch gate and epoch advancement. It is
- * kGcBusyPoll while GC work is being found, doubling per idle wake up
- * to the kReclaimerPoll safety net: an idle shard wakes ~100 times a
- * second, not 5000.
+ * (Pwb::armReclaimHint) — so its poll is only a safety net bounding
+ * staleness for the re-dispatch gate and epoch advancement. GC has a
+ * deadline of its own: kGcBusyPoll after a look that found GC work,
+ * doubling per idle look up to kGcIdlePoll. An idle shard wakes ~100
+ * times a second, not 5000. GC looks only when its deadline is due, not
+ * on every put's wake: that would re-arm the busy poll far more often
+ * and double the loop's wakeups under a write-heavy mix.
  */
-constexpr std::chrono::microseconds kGcBusyPoll{200};
 constexpr std::chrono::microseconds kReclaimerPoll{10000};
+constexpr std::chrono::microseconds kGcBusyPoll{200};
+constexpr std::chrono::microseconds kGcIdlePoll{20000};
 
 /**
  * The record at @p rec (@p avail bytes readable) parses, belongs to HSIT
@@ -357,7 +360,7 @@ PrismDb::put(uint64_t key, std::string_view value)
                 // not per append).
                 if (pwb->utilization() >= kReclaimWatermark &&
                     pwb->armReclaimHint())
-                    wakeBackground();
+                    bg_cv_.notify_all();
                 return Status::ok();
             }
         }
@@ -370,7 +373,7 @@ PrismDb::put(uint64_t key, std::string_view value)
         // hand this thread's PWB straight to the worker pool (no-op if a
         // pass for it is already queued or running).
         dispatchReclaim(pwbForThisThread());
-        wakeBackground();
+        bg_cv_.notify_all();
         epochs_.tryAdvance();
         std::this_thread::yield();
     }
@@ -1040,15 +1043,21 @@ PrismDb::backgroundLoop()
 {
     trace::TraceRegistry::global().setThreadName("prism-bg");
     numa::pinThreadToNode(opts_.numa_node);
-    std::chrono::microseconds poll = kGcBusyPoll;
+    using Clock = std::chrono::steady_clock;
+    std::chrono::microseconds gc_poll = kGcBusyPoll;
+    Clock::time_point gc_due = Clock::now();
     std::unique_lock<std::mutex> lock(bg_mu_);
-    while (true) {
-        bg_cv_.wait_for(lock, poll, [this] {
-            return bg_wake_ || bg_stop_;
-        });
+    while (!bg_stop_) {
+        // Woken by a put's hint or stall, the destructor or a deadline.
+        // Puts notify without the mutex, so a hint that lands while the
+        // loop works is dropped: its PWB is rescanned at the next wake,
+        // which a deadline bounds. Remembering it would rerun the scan
+        // back to back while a ring sits over the watermark behind the
+        // re-dispatch gate.
+        bg_cv_.wait_until(lock,
+                          std::min(gc_due, Clock::now() + kReclaimerPoll));
         if (bg_stop_)
             return;
-        bg_wake_ = false;
         lock.unlock();
         for (int tid = 0; tid < ThreadId::kMaxThreads; tid++) {
             Pwb *pwb = pwbs_[tid].load(std::memory_order_acquire);
@@ -1072,27 +1081,21 @@ PrismDb::backgroundLoop()
                 util >= kReclaimForceUtilization)
                 dispatchReclaim(pwb);
         }
-        bool gc_found = false;
-        for (size_t i = 0; i < value_storages_.size(); i++) {
-            if (value_storages_[i]->needsGc()) {
-                dispatchGc(i);
-                gc_found = true;
+        if (const Clock::time_point now = Clock::now(); now >= gc_due) {
+            bool gc_found = false;
+            for (size_t i = 0; i < value_storages_.size(); i++) {
+                if (value_storages_[i]->needsGc()) {
+                    dispatchGc(i);
+                    gc_found = true;
+                }
             }
+            gc_poll = gc_found ? kGcBusyPoll
+                               : std::min(gc_poll * 2, kGcIdlePoll);
+            gc_due = now + gc_poll;
         }
         epochs_.tryAdvance();
-        poll = gc_found ? kGcBusyPoll : std::min(poll * 2, kReclaimerPoll);
         lock.lock();
     }
-}
-
-void
-PrismDb::wakeBackground()
-{
-    {
-        std::lock_guard<std::mutex> lock(bg_mu_);
-        bg_wake_ = true;
-    }
-    bg_cv_.notify_one();
 }
 
 void

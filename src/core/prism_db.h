@@ -243,13 +243,12 @@ class PrismDb {
     /**
      * The shard's one background scheduler thread. It wakes on a put's
      * watermark hint or a stall, or else when the earlier of the GC
-     * back-off and the reclaim safety-net poll runs out; every wake
-     * dispatches reclamation (behind its re-dispatch gate) and GC passes
-     * to the pool, then advances the epoch.
+     * deadline and the reclaim safety-net poll runs out. Every wake
+     * dispatches reclamation (behind its re-dispatch gate) and advances
+     * the epoch; a wake at or past the GC deadline also dispatches GC
+     * passes (one in flight per Value Storage).
      */
     void backgroundLoop();
-    /** Wake backgroundLoop now: a PWB crossed its watermark or stalled. */
-    void wakeBackground();
     /**
      * One reclamation pass over @p pwb (§5.2, Fig. 4), pipelined: up to
      * kReclaimPipelineDepth chunk writes stay in flight, each chunk
@@ -318,7 +317,6 @@ class PrismDb {
      *  and its thread, which the destructor joins before any teardown. */
     std::mutex bg_mu_;
     std::condition_variable bg_cv_;
-    bool bg_wake_ = false;  ///< under bg_mu_: wakeBackground() was called
     bool bg_stop_ = false;  ///< under bg_mu_: the destructor runs
     std::thread bg_thread_;
     /** One outstanding GC dispatch per Value Storage. */

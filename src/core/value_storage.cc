@@ -310,16 +310,20 @@ ValueStorage::runGcPass(Hsit &hsit, Svc *svc)
         return 0;
 
     // Read every victim with live records as one chain on this SSD's
-    // read queue, which retries transient errors.
+    // read queue, which retries transient errors. The chunk buffers are
+    // kept from pass to pass: freed, their megabytes would go back to
+    // the kernel and be faulted in again by the next pass.
     std::vector<std::unique_ptr<GroupRead>> reads;
     for (const auto &v : victims) {
         const uint32_t used = metas_[static_cast<size_t>(v.chunk)]
                                   .used_bytes.load(std::memory_order_acquire);
         if (v.live == 0 || used == 0)
             continue;
-        reads.push_back(std::make_unique<GroupRead>());
-        reads.back()->aim(static_cast<uint64_t>(v.chunk) * chunk_bytes_,
-                          used);
+        auto r = std::make_unique<GroupRead>();
+        if (reads.size() < gc_bufs_.size())
+            r->buf.swap(gc_bufs_[reads.size()]);
+        r->aim(static_cast<uint64_t>(v.chunk) * chunk_bytes_, used);
+        reads.push_back(std::move(r));
     }
     const std::array<ValueStorage *, 1> queue{this};
     (void)readAll(queue, reads);
@@ -366,6 +370,9 @@ ValueStorage::runGcPass(Hsit &hsit, Svc *svc)
             off += bytes;
         }
     }
+    gc_bufs_.resize(std::max(gc_bufs_.size(), reads.size()));
+    for (size_t i = 0; i < reads.size(); i++)
+        gc_bufs_[i].swap(reads[i]->buf);
 
     if (!survivors.empty()) {
         uint64_t moved = 0;

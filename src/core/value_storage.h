@@ -245,6 +245,8 @@ class ValueStorage {
     int64_t open_chunk_ = -1;  ///< parked open chunk (under free_mu_)
     uint32_t open_fill_ = 0;
     std::mutex gc_mu_;  ///< serializes GC passes on this Value Storage
+    /** Victim-read buffers a pass hands to the next (under gc_mu_). */
+    std::vector<std::vector<uint8_t>> gc_bufs_;
 
     std::unique_ptr<ReadBatcher> reader_;
 
